@@ -3,6 +3,7 @@
 
 use equitls_bench::harness::bench;
 use equitls_mc::prelude::*;
+use equitls_obs::sink::Obs;
 use equitls_tls::concrete::Scope;
 use std::hint::black_box;
 
@@ -16,7 +17,14 @@ fn bench_bounded_search() {
                 max_states: 200_000,
                 max_depth: max_messages + 1,
             };
-            let result = check_scope(&scope, &limits);
+            let result = check_scope_config_obs_sym(
+                &scope,
+                &limits,
+                1,
+                &ExploreConfig::default(),
+                &Obs::noop(),
+                true,
+            );
             assert!(result.complete);
             black_box(result.states)
         });
@@ -43,7 +51,14 @@ fn bench_intruder_ablation() {
                 max_states: 200_000,
                 max_depth: 3,
             };
-            let result = explore(&machine, &[], &limits);
+            let result = explore_with_config_jobs(
+                &machine,
+                &[],
+                &limits,
+                &ExploreConfig::default(),
+                1,
+                &Obs::noop(),
+            );
             assert!(result.complete);
             black_box(result.states)
         });

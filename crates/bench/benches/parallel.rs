@@ -23,7 +23,9 @@
 use equitls_bench::harness::bench;
 use equitls_mc::prelude::*;
 use equitls_obs::json::JsonValue;
+use equitls_obs::sink::Obs;
 use equitls_tls::concrete::Scope;
+use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{verify, TlsModel};
 use std::time::Duration;
 
@@ -69,7 +71,14 @@ fn bench_explorer(samples: usize, smoke: bool) -> Vec<JsonValue> {
     for jobs in jobs_ladder() {
         let mut states = 0usize;
         let best = bench(&format!("explorer/jobs={jobs}"), samples, || {
-            let result = check_scope_jobs(&scope, &limits, jobs);
+            let result = check_scope_config_obs_sym(
+                &scope,
+                &limits,
+                jobs,
+                &ExploreConfig::default(),
+                &Obs::noop(),
+                true,
+            );
             assert!(result.complete, "scope should be exhausted");
             states = result.states;
             states
@@ -99,7 +108,16 @@ fn bench_prover(samples: usize, smoke: bool) -> Vec<JsonValue> {
         let mut obligations = 0usize;
         let best = bench(&format!("prover/{property}/jobs={jobs}"), samples, || {
             let mut model = TlsModel::standard().expect("model builds");
-            let report = verify::verify_property_jobs(&mut model, property, jobs).expect("engine");
+            let report = verify::verify_property_opts(
+                &mut model,
+                property,
+                &VerifyOptions {
+                    jobs,
+                    ..VerifyOptions::default()
+                },
+                &Obs::noop(),
+            )
+            .expect("engine");
             assert!(report.is_proved(), "{property} should prove");
             obligations = report.steps.len() + 1;
             obligations

@@ -8,6 +8,8 @@
 
 use equitls_bench::harness::bench;
 use equitls_core::prelude::*;
+use equitls_obs::sink::Obs;
+use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{verify, TlsModel};
 use std::hint::black_box;
 
@@ -36,7 +38,13 @@ fn bench_standard() {
             let name = name.to_string();
             with_big_stack(move || {
                 let mut model = TlsModel::standard().expect("model builds");
-                let report = verify::verify_property(&mut model, &name).expect("prover runs");
+                let report = verify::verify_property_opts(
+                    &mut model,
+                    &name,
+                    &VerifyOptions::default(),
+                    &Obs::noop(),
+                )
+                .expect("prover runs");
                 assert!(report.is_proved(), "{name} must prove");
                 black_box(report.total_passages())
             })
@@ -51,7 +59,13 @@ fn bench_variant() {
             let name = name.to_string();
             with_big_stack(move || {
                 let mut model = TlsModel::variant().expect("model builds");
-                let report = verify::verify_property(&mut model, &name).expect("prover runs");
+                let report = verify::verify_property_opts(
+                    &mut model,
+                    &name,
+                    &VerifyOptions::default(),
+                    &Obs::noop(),
+                )
+                .expect("prover runs");
                 assert!(report.is_proved(), "{name} must prove on the variant");
                 black_box(report.total_passages())
             })

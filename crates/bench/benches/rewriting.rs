@@ -8,52 +8,35 @@
 //! * protocol-term normalization: reducing gleaning collections over
 //!   growing concrete networks (the inner loop of every proof passage).
 //!
-//! **E19** (machine-readable `BENCH_rewriting.json`): rule indexing and
-//! shared normal forms. Two workloads, each run as three legs in the
-//! same process:
-//!
-//! * **campaign** — the full inv1 proof campaign (init + 27 transition
-//!   obligations, case splits and all) through `verify_property_opts`,
-//!   exactly what `tls-prove inv1` runs. Wall time per leg; the index's
-//!   win here is bounded by how much of the campaign is matching cost
-//!   (see EXPERIMENTS E17/E19 — the expensive fires are not).
-//! * **fanout** — the cross-clone redundancy the shared cache exists
-//!   for: every obligation of the inv1 campaign runs on its own clone
-//!   of the pristine spec with its own engine, so each clone re-derives
-//!   the same secrecy reduction — `PMS \in cpms(<n-message network>)`,
-//!   the paper's workhorse `red` for the inv1 secrecy family — from
-//!   scratch. One such reduction per obligation clone (init + 27).
-//!   Only the `normalize` calls are timed (clones and term construction
-//!   are workload setup, not normalization). The shared leg derives the
-//!   normal form once and replays it on the other 27 clones.
-//!
-//! Legs:
+//! **E19** (machine-readable `BENCH_rewriting.json`): rule indexing, on
+//! the full inv1 proof campaign (init + 27 transition obligations, case
+//! splits and all) through `verify_property_opts`, exactly what
+//! `tls-prove inv1` runs. Two legs in the same process:
 //!
 //! * **linear** — candidate rules by scanning per-operator rule lists
 //!   (the engine before discrimination-tree indexing);
-//! * **indexed** — discrimination-tree candidate selection (default);
-//! * **indexed+shared** — plus the shared normal-form cache, created
-//!   fresh per sample (each sample is a cold campaign, warm only across
-//!   its own obligation clones).
+//! * **indexed** — discrimination-tree candidate selection (default).
 //!
-//! All legs produce structurally identical results; linear vs. indexed
-//! are bit-identical in every rewrite statistic. Throughput rates are
-//! omitted when a leg finishes below the 1 ms measurement floor (same
-//! guard as `tls-prove --metrics`).
+//! Both legs are bit-identical in every rewrite statistic. Wall time per
+//! leg; the index's win is bounded by how much of the campaign is
+//! matching cost (see EXPERIMENTS E17/E19 — the expensive fires are
+//! not). `index_pruned` comes from one extra untimed run per leg with a
+//! recording sink, so observing never enters the timed samples.
+//! Throughput rates are omitted when a leg finishes below the 1 ms
+//! measurement floor (same guard as `tls-prove --metrics`).
 //!
 //! Environment knobs (as `benches/parallel.rs`):
 //!
 //! * `BENCH_SAMPLES`  — timed repetitions per E19 leg (default 5; best-of-N);
 //! * `BENCH_OUT`      — output path (default `<repo>/BENCH_rewriting.json`);
 //! * `BENCH_SMOKE=1`  — E19 only, tiny workload, temp-dir output (CI smoke);
-//! * `BENCH_FANOUT_N` — fan-out network size (default 48; smoke 4);
 //! * `BENCH_GIT_REV`, `BENCH_HOSTNAME` — provenance stamps.
 
 use equitls_bench::harness::bench;
 use equitls_bench::{bool_world, random_formula, truth_table_tautology};
 use equitls_obs::json::JsonValue;
-use equitls_obs::sink::Obs;
-use equitls_obs::summary::rate_per_sec;
+use equitls_obs::sink::{Obs, RecordingSink};
+use equitls_obs::summary::{rate_per_sec, MetricsSummary};
 use equitls_rewrite::prelude::*;
 use equitls_tls::verify::{self, VerifyOptions};
 use equitls_tls::TlsModel;
@@ -173,17 +156,15 @@ fn ms(d: Duration) -> f64 {
 enum Leg {
     Linear,
     Indexed,
-    IndexedShared,
 }
 
-const LEGS: [Leg; 3] = [Leg::Linear, Leg::Indexed, Leg::IndexedShared];
+const LEGS: [Leg; 2] = [Leg::Linear, Leg::Indexed];
 
 impl Leg {
     fn label(self) -> &'static str {
         match self {
             Leg::Linear => "linear",
             Leg::Indexed => "indexed",
-            Leg::IndexedShared => "indexed+shared",
         }
     }
 }
@@ -198,7 +179,6 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
     for leg in LEGS {
         let opts = VerifyOptions {
             linear_scan: leg == Leg::Linear,
-            shared_nf_cache: leg == Leg::IndexedShared,
             ..VerifyOptions::default()
         };
         let mut best = Duration::MAX;
@@ -215,6 +195,12 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
             rewrites = report.total_rewrite_stats().rewrites;
             best = best.min(elapsed);
         }
+        let recorder = Arc::new(RecordingSink::new());
+        let mut model = TlsModel::standard().expect("model builds");
+        verify::verify_property_opts(&mut model, property, &opts, &Obs::new(recorder.clone()))
+            .expect("engine");
+        let index_pruned =
+            MetricsSummary::from_events(&recorder.events()).counter_total("rewrite.index_pruned");
         println!(
             "campaign/{:<24} {best:>12.2?}  (best of {samples})",
             leg.label()
@@ -225,6 +211,7 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
             ("property", JsonValue::String(property.to_string())),
             ("obligations", num(obligations as f64)),
             ("rewrites", num(rewrites as f64)),
+            ("index_pruned", num(index_pruned as f64)),
             ("wall_ms", num(ms(best))),
             (
                 "speedup_vs_linear",
@@ -237,152 +224,6 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
         rows.push(obj(fields));
     }
     rows
-}
-
-/// Build, on a clone of the pristine spec, the inv1 secrecy reduction
-/// subject: `pms(ca, a, s2) \in cpms(<n ch messages + 1 kx leaking a
-/// different premaster secret>)`. The queried secret is *not* in the
-/// network, so gleaning must exhaust every message before answering
-/// `false` — the common case when the secrecy property holds, and the
-/// expensive one. The compared components are constructor-headed
-/// (`ca` vs `intruder`), so every gleaning condition *decides* — an
-/// arbitrary constant in a compared slot would leave `a = intruder`
-/// symbolic and jam the reduction. Every clone replays the same
-/// creation sequence, so fresh-constant names — and with them the
-/// shared cache's fingerprints — line up across clones, exactly as the
-/// prover's obligation clones do.
-fn fanout_subject(
-    model: &TlsModel,
-    n: usize,
-) -> (equitls_spec::spec::Spec, equitls_kernel::term::TermId) {
-    let mut spec = model.spec.clone();
-    let prin = spec.sort_id("Prin").unwrap();
-    let secret = spec.sort_id("Secret").unwrap();
-    let rand = spec.sort_id("Rand").unwrap();
-    let loc = spec.sort_id("ListOfChoices").unwrap();
-    let a = spec.store_mut().fresh_constant("a", prin);
-    let b = spec.store_mut().fresh_constant("b", prin);
-    let s = spec.store_mut().fresh_constant("s", secret);
-    let s2 = spec.store_mut().fresh_constant("s2", secret);
-    let l = spec.store_mut().fresh_constant("l", loc);
-    let intruder = spec.const_term("intruder").unwrap();
-    let ca = spec.const_term("ca").unwrap();
-    // Leaked client = intruder, queried client = ca: the `epms`
-    // comparison in the kx gleaning condition decides `false` on the
-    // first component, and the `cpms(void)` base case decides
-    // `ca = intruder` to `false` — the whole membership reduces.
-    let leaked = spec.app("pms", &[intruder, b, s]).unwrap();
-    let queried = spec.app("pms", &[ca, a, s2]).unwrap();
-    let mut nw = spec.const_term("void").unwrap();
-    for i in 0..n {
-        let r = spec.store_mut().fresh_constant(&format!("r{i}"), rand);
-        let m = spec.app("ch", &[a, a, b, r, l]).unwrap();
-        nw = spec.app("_,_", &[m, nw]).unwrap();
-    }
-    let ki = spec.app("k", &[intruder]).unwrap();
-    let ep = spec.app("epms", &[ki, leaked]).unwrap();
-    let kx = spec.app("kx", &[a, a, intruder, ep]).unwrap();
-    nw = spec.app("_,_", &[kx, nw]).unwrap();
-    let cp = spec.app("cpms", &[nw]).unwrap();
-    let subject = spec.app("_\\in_", &[queried, cp]).unwrap();
-    (spec, subject)
-}
-
-/// Accumulated engine statistics for one fan-out pass.
-#[derive(Default)]
-struct PassStats {
-    rewrites: u64,
-    counters: EngineCounters,
-}
-
-/// One fan-out pass: normalize the secrecy reduction on each of the
-/// `clones` obligation clones with a fresh engine. Returns normalize-only
-/// wall time (setup excluded) and the accumulated engine statistics.
-fn fanout_pass(model: &TlsModel, clones: usize, n: usize, leg: Leg) -> (Duration, PassStats) {
-    let shared = (leg == Leg::IndexedShared).then(|| Arc::new(SharedNfCache::new()));
-    // Setup (untimed): the per-obligation spec clones and their subjects.
-    let worlds: Vec<_> = (0..clones).map(|_| fanout_subject(model, n)).collect();
-    let mut stats = PassStats::default();
-    let mut wall = Duration::ZERO;
-    for (mut spec, subject) in worlds {
-        let alg = spec.alg().clone();
-        let mut norm = spec.normalizer();
-        norm.set_indexing(leg != Leg::Linear);
-        if let Some(cache) = &shared {
-            norm.set_shared_cache(Some(cache.clone()));
-        }
-        let t0 = Instant::now();
-        let nf = norm.normalize(spec.store_mut(), subject).expect("reduces");
-        wall += t0.elapsed();
-        assert_eq!(
-            alg.as_constant(spec.store(), nf),
-            Some(false),
-            "the queried premaster secret is not in the network"
-        );
-        stats.rewrites += norm.stats().rewrites;
-        stats.counters = stats.counters.merged(norm.engine_counters());
-    }
-    (wall, stats)
-}
-
-/// The cross-clone fan-out workload, three legs, best-of-`samples`.
-fn bench_fanout(samples: usize, smoke: bool) -> JsonValue {
-    let model = TlsModel::standard().expect("model builds");
-    let clones = model.ots.actions.len() + 1;
-    let n = std::env::var("BENCH_FANOUT_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 4 } else { 48 });
-    println!("== fanout ({clones} obligation clones x secrecy reduction over {n} messages)");
-    // Share one index build across clones, as the prover does; the
-    // linear leg never consults it.
-    model.spec.rules().path_index(model.spec.store());
-    let mut rows = Vec::new();
-    let mut linear_wall = None;
-    for leg in LEGS {
-        let mut best = Duration::MAX;
-        let mut stats = PassStats::default();
-        for _ in 0..=samples.max(1) {
-            let (wall, s) = fanout_pass(&model, clones, n, leg);
-            if wall < best {
-                best = wall;
-                stats = s;
-            }
-        }
-        println!(
-            "fanout/{:<26} {best:>12.2?}  (best of {samples})",
-            leg.label()
-        );
-        let base = *linear_wall.get_or_insert(best);
-        let c = &stats.counters;
-        let mut fields = vec![
-            ("leg", JsonValue::String(leg.label().to_string())),
-            ("normalizations", num(clones as f64)),
-            ("normalize_ms", num(ms(best))),
-            ("rewrites", num(stats.rewrites as f64)),
-            ("index_lookups", num(c.index_lookups as f64)),
-            ("index_candidates", num(c.index_candidates as f64)),
-            ("index_pruned", num(c.index_pruned as f64)),
-            ("shared_hits", num(c.shared_hits as f64)),
-            ("shared_misses", num(c.shared_misses as f64)),
-            ("shared_published", num(c.shared_published as f64)),
-            (
-                "speedup_vs_linear",
-                num(base.as_secs_f64() / best.as_secs_f64().max(1e-9)),
-            ),
-        ];
-        // Sub-millisecond walls are below the measurement floor: omit
-        // the rate instead of fabricating one.
-        if let Some(rate) = rate_per_sec(clones as u64, best) {
-            fields.push(("normalizations_per_sec", num(rate)));
-        }
-        rows.push(obj(fields));
-    }
-    obj(vec![
-        ("clones", num(clones as f64)),
-        ("network_messages", num(n as f64)),
-        ("legs", JsonValue::Array(rows)),
-    ])
 }
 
 fn main() {
@@ -411,7 +252,6 @@ fn main() {
                 bench_gleaning_reduction();
             }
             let campaign = bench_campaign(samples, smoke);
-            let fanout = bench_fanout(samples, smoke);
             let stamp = |var: &str| {
                 JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
             };
@@ -426,7 +266,6 @@ fn main() {
                 ("samples", num(samples as f64)),
                 ("smoke", JsonValue::Bool(smoke)),
                 ("campaign", JsonValue::Array(campaign)),
-                ("fanout", fanout),
             ]);
             std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_rewriting.json");
             println!("wrote {}", out_path.display());

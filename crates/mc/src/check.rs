@@ -13,53 +13,21 @@ use equitls_tls::concrete::{props, Scope, State};
 /// An owned monitor predicate over concrete states.
 type BoxedPredicate = Box<dyn Fn(&State) -> bool>;
 
-/// Run every §5 monitor over the scope, breadth-first.
+/// Run every §5 monitor over the scope, breadth-first, on `jobs` worker
+/// threads (`0` = available parallelism).
 ///
 /// The expected outcome (within any scope that lets the intruder act):
-/// properties 1–5 hold everywhere, 2′ and 3′ are violated.
-pub fn check_scope(scope: &Scope, limits: &Limits) -> Exploration<State> {
-    check_scope_jobs(scope, limits, 1)
-}
-
-/// [`check_scope`] on `jobs` worker threads (`0` = available parallelism).
+/// properties 1–5 hold everywhere, 2′ and 3′ are violated. The verdicts,
+/// state counts, and violation traces are identical for every `jobs`
+/// value (see [`explore_with_config_jobs`]). A tripped [`ExploreConfig`]
+/// budget yields a *partial* but internally consistent exploration with
+/// a typed [`Exploration::stop_reason`]; `obs` receives per-level timing
+/// counters and heartbeats without changing the result.
 ///
-/// The verdicts, state counts, and violation traces are identical for
-/// every `jobs` value — see [`crate::explorer::explore_jobs`].
-pub fn check_scope_jobs(scope: &Scope, limits: &Limits, jobs: usize) -> Exploration<State> {
-    check_scope_config(scope, limits, jobs, &ExploreConfig::default())
-}
-
-/// [`check_scope_jobs`] under an [`ExploreConfig`] budget: a tripped
-/// deadline, memory ceiling, or cancellation yields a *partial* but
-/// internally consistent exploration with a typed
-/// [`Exploration::stop_reason`] instead of an unbounded run.
-pub fn check_scope_config(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-) -> Exploration<State> {
-    check_scope_config_obs(scope, limits, jobs, config, &Obs::noop())
-}
-
-/// [`check_scope_config`] with an observability handle: per-level timing
-/// counters and heartbeats flow to `obs`'s sink. Purely additive — the
-/// exploration result is identical whatever the sink.
-pub fn check_scope_config_obs(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-    obs: &Obs,
-) -> Exploration<State> {
-    check_scope_config_obs_sym(scope, limits, jobs, config, obs, true)
-}
-
-/// [`check_scope_config_obs`] with an explicit symmetry switch: `true`
-/// (the default everywhere else) canonicalizes states under scalarset
-/// symmetry, `false` explores the raw space — the `--no-symmetry`
-/// escape hatch. Verdicts are identical either way; only the state
-/// count changes.
+/// `symmetry = true` (what the CLIs and the daemon use) canonicalizes
+/// states under scalarset symmetry; `false` explores the raw space, the
+/// `--no-symmetry` escape hatch. Verdicts are identical either way; only
+/// the state count changes.
 pub fn check_scope_config_obs_sym(
     scope: &Scope,
     limits: &Limits,
@@ -74,34 +42,11 @@ pub fn check_scope_config_obs_sym(
 }
 
 /// Resume a scope check from the snapshot at `config.checkpoint_path`
-/// (see [`crate::explorer::explore_resume_with_config_jobs`]): the search
-/// picks up at the checkpointed level barrier and the final result is
-/// bit-identical to an uninterrupted [`check_scope_config`] run.
-pub fn check_scope_resume(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-) -> Result<Exploration<State>, PersistError> {
-    check_scope_resume_obs(scope, limits, jobs, config, &Obs::noop())
-}
-
-/// [`check_scope_resume`] with an observability handle (see
-/// [`check_scope_config_obs`]).
-pub fn check_scope_resume_obs(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-    obs: &Obs,
-) -> Result<Exploration<State>, PersistError> {
-    check_scope_resume_obs_sym(scope, limits, jobs, config, obs, true)
-}
-
-/// [`check_scope_resume_obs`] with an explicit symmetry switch (see
-/// [`check_scope_config_obs_sym`]). A checkpoint must be resumed under
-/// the same symmetry setting it was written with — the snapshot stores
-/// canonicalized states.
+/// (see [`explore_resume_with_config_jobs`]): the search picks up at the
+/// checkpointed level barrier and the final result is bit-identical to
+/// an uninterrupted [`check_scope_config_obs_sym`] run. A checkpoint must
+/// be resumed under the same symmetry setting it was written with — the
+/// snapshot stores canonicalized states.
 pub fn check_scope_resume_obs_sym(
     scope: &Scope,
     limits: &Limits,
@@ -163,7 +108,14 @@ mod tests {
             max_states: 60_000,
             max_depth: 3,
         };
-        let result = check_scope(&scope, &limits);
+        let result = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert!(result.states > 10);
         // Positive properties hold in the explored region.
         for (name, expected) in expected_outcomes() {

@@ -7,7 +7,7 @@
 //!
 //! ## Parallel exploration
 //!
-//! [`explore_jobs`] runs the same search level-synchronously across `N`
+//! [`explore_with_config_jobs`] runs the search level-synchronously across `N`
 //! worker threads: the current frontier is partitioned into contiguous
 //! chunks, each worker expands its chunk's states into a local successor
 //! batch, and the batches are merged into the dedup index **at the level
@@ -227,90 +227,27 @@ impl<S> Exploration<S> {
     }
 }
 
-/// Explore `model` breadth-first, checking `monitors` in every state.
+/// Explore `model` breadth-first on `jobs` worker threads (`0` =
+/// available parallelism), checking `monitors` in every state.
 ///
 /// Each monitor is `(name, predicate)`; a violation is recorded the first
 /// time a predicate returns `false`, and the search continues (to find
-/// violations of the other monitors).
-pub fn explore<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-) -> Exploration<M::State> {
-    explore_with_obs(model, monitors, limits, &Obs::noop())
-}
-
-/// [`explore`] with an observability handle: emits a span per BFS level,
-/// frontier-size and dedup-rate gauges, and a final states/sec gauge.
-pub fn explore_with_obs<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    obs: &Obs,
-) -> Exploration<M::State> {
-    explore_with_config(model, monitors, limits, &ExploreConfig::default(), obs)
-}
-
-/// [`explore`] under an [`ExploreConfig`] budget: the search stops
-/// cooperatively when the deadline passes, the heap-estimate ceiling is
-/// crossed, or the shared cancel token fires, and returns a partial but
-/// internally consistent [`Exploration`] with a typed
-/// [`Exploration::stop_reason`].
-pub fn explore_with_config<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    config: &ExploreConfig,
-    obs: &Obs,
-) -> Exploration<M::State> {
-    explore_core(model, monitors, limits, config, obs, expand_level_seq)
-}
-
-/// [`explore`] on `jobs` worker threads (`0` = available parallelism).
+/// violations of the other monitors). `obs` receives a span per BFS
+/// level, frontier-size and dedup-rate gauges, and a final states/sec
+/// gauge.
+///
+/// The search stops cooperatively when the [`ExploreConfig`] budget's
+/// deadline passes, its heap-estimate ceiling is crossed, or its cancel
+/// token fires, and returns a partial but internally consistent
+/// [`Exploration`] with a typed [`Exploration::stop_reason`].
 ///
 /// Deterministic: for any `jobs`, the result (state count, verdicts,
-/// traces, per-level accounting) is identical to the sequential search.
-/// See the module docs for how the merge keeps it so.
-pub fn explore_jobs<M>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    jobs: usize,
-) -> Exploration<M::State>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    explore_with_obs_jobs(model, monitors, limits, jobs, &Obs::noop())
-}
-
-/// [`explore_jobs`] with an observability handle.
-pub fn explore_with_obs_jobs<M>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    jobs: usize,
-    obs: &Obs,
-) -> Exploration<M::State>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    explore_with_config_jobs(
-        model,
-        monitors,
-        limits,
-        &ExploreConfig::default(),
-        jobs,
-        obs,
-    )
-}
-
-/// [`explore_with_config`] on `jobs` worker threads (`0` = available
-/// parallelism). Injected faults and the structural limits truncate at
-/// the identical `(parent, successor)` position for every `jobs` value;
-/// real wall-clock budget trips yield a consistent partial result whose
-/// exact cut point depends on timing.
+/// traces, per-level accounting) is identical to the sequential search
+/// that `jobs = 1` runs; see the module docs for how the merge keeps it
+/// so. Injected faults and the structural limits truncate at the
+/// identical `(parent, successor)` position for every `jobs` value; real
+/// wall-clock budget trips yield a consistent partial result whose exact
+/// cut point depends on timing.
 pub fn explore_with_config_jobs<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
@@ -323,16 +260,15 @@ where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    let jobs = resolve_jobs(jobs);
-    explore_core(
+    let seed = initial_seed(model, monitors);
+    explore_driver(
         model,
         monitors,
         limits,
         config,
+        resolve_jobs(jobs),
         obs,
-        move |model, search, frontier, depth, limits, obs| {
-            expand_level_par(model, search, frontier, depth, limits, jobs, obs)
-        },
+        seed,
     )
 }
 
@@ -1314,28 +1250,21 @@ fn checkpoint_at_barrier<M: Model>(
     }
 }
 
-/// The level-synchronous BFS driver, parameterized over how a level is
-/// expanded (sequentially, or fanned out over worker threads) and over
-/// its starting point (a fresh search, or a decoded checkpoint).
-fn explore_driver<M, E>(
+/// The level-synchronous BFS driver on `jobs` worker threads (see
+/// [`expand_level_par`]), parameterized over its starting point (a fresh
+/// search, or a decoded checkpoint).
+fn explore_driver<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
     limits: &Limits,
     config: &ExploreConfig,
+    jobs: usize,
     obs: &Obs,
-    mut expand: E,
     seed: SearchSeed<M::State>,
 ) -> Exploration<M::State>
 where
-    M: Model,
-    E: for<'m> FnMut(
-        &M,
-        &mut Search<'m, M::State>,
-        &[usize],
-        usize,
-        &Limits,
-        &Obs,
-    ) -> Option<StopReason>,
+    M: Model + Sync,
+    M::State: Send + Sync,
 {
     let start = Instant::now();
     let SearchSeed {
@@ -1421,7 +1350,7 @@ where
         let level_faults = search.faults.len();
         let (succ_before, dedup_before) = (search.succ_time, search.dedup_time);
         let dedup_hits_before = search.dedup_hits;
-        stop = expand(model, &mut search, &frontier, depth, limits, obs);
+        stop = expand_level_par(model, &mut search, &frontier, depth, limits, jobs, obs);
         states_per_depth.push(search.len() - level_start);
         obs.gauge("mc.frontier", search.next_frontier.len() as f64);
         obs.counter("mc.states", search.next_frontier.len() as u64);
@@ -1545,30 +1474,6 @@ where
     result
 }
 
-/// The fresh-start driver: seed a new search and run it.
-fn explore_core<M, E>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    config: &ExploreConfig,
-    obs: &Obs,
-    expand: E,
-) -> Exploration<M::State>
-where
-    M: Model,
-    E: for<'m> FnMut(
-        &M,
-        &mut Search<'m, M::State>,
-        &[usize],
-        usize,
-        &Limits,
-        &Obs,
-    ) -> Option<StopReason>,
-{
-    let seed = initial_seed(model, monitors);
-    explore_driver(model, monitors, limits, config, obs, expand, seed)
-}
-
 /// Resume an exploration from the snapshot at `config.checkpoint_path`
 /// on `jobs` worker threads, continuing to checkpoint as it goes.
 ///
@@ -1597,16 +1502,13 @@ where
         .ok_or(PersistError::MissingPath)?;
     let (_meta, payload) = read_snapshot(path, SnapshotKind::Explorer, obs)?;
     let seed = decode_checkpoint(model, &payload, config.spill_dir.as_deref(), obs)?;
-    let jobs = resolve_jobs(jobs);
     Ok(explore_driver(
         model,
         monitors,
         limits,
         config,
+        resolve_jobs(jobs),
         obs,
-        move |model, search, frontier, depth, limits, obs| {
-            expand_level_par(model, search, frontier, depth, limits, jobs, obs)
-        },
         seed,
     ))
 }
@@ -1682,7 +1584,14 @@ mod tests {
 
     #[test]
     fn exhausts_a_small_space() {
-        let result = explore(&Counter, &[], &Limits::default());
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert_eq!(result.states, 6);
         assert!(result.complete);
         assert!(result.all_hold());
@@ -1691,10 +1600,13 @@ mod tests {
     #[test]
     fn finds_a_violation_with_a_minimal_trace() {
         let below_three = |s: &u8| *s < 3;
-        let result = explore(
+        let result = explore_with_config_jobs(
             &Counter,
             &[("below-three", &below_three)],
             &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
         let v = result.violation("below-three").expect("violated");
         assert_eq!(v.depth, 3);
@@ -1709,7 +1621,14 @@ mod tests {
             max_states: 3,
             max_depth: 10,
         };
-        let result = explore(&Counter, &[], &limits);
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &limits,
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert!(result.states <= 4);
         assert!(!result.complete);
     }
@@ -1720,7 +1639,14 @@ mod tests {
             max_states: 1000,
             max_depth: 2,
         };
-        let result = explore(&Counter, &[], &limits);
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &limits,
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert_eq!(result.depth_reached, 2);
         assert!(!result.complete);
         assert_eq!(result.states_per_depth.len(), 3);
@@ -1730,7 +1656,14 @@ mod tests {
     fn counts_dedup_hits_and_rates() {
         // Every "reset" successor re-reaches state 0, and every "inc"
         // successor beyond the first visit of its target is a duplicate.
-        let result = explore(&Counter, &[], &Limits::default());
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert!(result.dedup_hits > 0);
         let rate = result.dedup_hit_rate();
         assert!(rate > 0.0 && rate < 1.0, "rate {rate}");
@@ -1749,7 +1682,14 @@ mod tests {
 
         let recorder = Arc::new(RecordingSink::new());
         let obs = Obs::new(recorder.clone());
-        let result = explore_with_obs(&Counter, &[], &Limits::default(), &obs);
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &obs,
+        );
         let summary = MetricsSummary::from_events(&recorder.events());
         // One span per expanded BFS level.
         let levels: usize = (1..=result.depth_reached)
@@ -1768,7 +1708,14 @@ mod tests {
     #[test]
     fn reports_one_violation_per_property() {
         let never = |_: &u8| false;
-        let result = explore(&Counter, &[("never", &never)], &Limits::default());
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[("never", &never)],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert_eq!(result.violations.len(), 1);
         assert_eq!(result.violations[0].depth, 0);
         assert!(result.violations[0].trace.is_empty());
@@ -1784,7 +1731,14 @@ mod tests {
                 max_states,
                 max_depth: 10,
             };
-            let result = explore(&Counter, &[], &limits);
+            let result = explore_with_config_jobs(
+                &Counter,
+                &[],
+                &limits,
+                &ExploreConfig::default(),
+                1,
+                &Obs::noop(),
+            );
             assert_eq!(
                 result.states,
                 max_states.min(6),
@@ -1817,9 +1771,23 @@ mod tests {
                 max_states,
                 max_depth: 16,
             };
-            let seq = explore(&Grid, &[], &limits);
+            let seq = explore_with_config_jobs(
+                &Grid,
+                &[],
+                &limits,
+                &ExploreConfig::default(),
+                1,
+                &Obs::noop(),
+            );
             for jobs in [2, 4] {
-                let par = explore_jobs(&Grid, &[], &limits, jobs);
+                let par = explore_with_config_jobs(
+                    &Grid,
+                    &[],
+                    &limits,
+                    &ExploreConfig::default(),
+                    jobs,
+                    &Obs::noop(),
+                );
                 assert_eq!(par.states, seq.states, "cap {max_states} jobs {jobs}");
                 assert_eq!(par.complete, seq.complete, "cap {max_states} jobs {jobs}");
                 assert_eq!(
@@ -1838,10 +1806,24 @@ mod tests {
     fn parallel_exploration_is_deterministic() {
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let seq = explore(&Grid, &monitors, &Limits::default());
+        let seq = explore_with_config_jobs(
+            &Grid,
+            &monitors,
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert!(!seq.all_hold());
         for jobs in [1, 2, 4, 8] {
-            let par = explore_jobs(&Grid, &monitors, &Limits::default(), jobs);
+            let par = explore_with_config_jobs(
+                &Grid,
+                &monitors,
+                &Limits::default(),
+                &ExploreConfig::default(),
+                jobs,
+                &Obs::noop(),
+            );
             assert_eq!(par.states, seq.states, "jobs {jobs}");
             assert_eq!(par.complete, seq.complete, "jobs {jobs}");
             assert_eq!(par.depth_reached, seq.depth_reached, "jobs {jobs}");
@@ -1896,29 +1878,42 @@ mod tests {
 
     #[test]
     fn structural_stops_carry_typed_reasons() {
-        let capped = explore(
+        let capped = explore_with_config_jobs(
             &Counter,
             &[],
             &Limits {
                 max_states: 3,
                 max_depth: 10,
             },
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
         assert_eq!(capped.stop_reason, Some(StopReason::StateCapReached));
         assert!(!capped.complete);
 
-        let shallow = explore(
+        let shallow = explore_with_config_jobs(
             &Counter,
             &[],
             &Limits {
                 max_states: 1000,
                 max_depth: 2,
             },
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
         assert_eq!(shallow.stop_reason, Some(StopReason::DepthCapReached));
         assert!(!shallow.complete);
 
-        let full = explore(&Counter, &[], &Limits::default());
+        let full = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert_eq!(full.stop_reason, None);
         assert!(full.complete);
     }
@@ -1930,7 +1925,8 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result =
+            explore_with_config_jobs(&Grid, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert_eq!(result.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(!result.complete);
         assert_eq!(
@@ -1947,7 +1943,8 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result =
+            explore_with_config_jobs(&Grid, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert_eq!(result.stop_reason, Some(StopReason::MemoryExceeded));
         assert_eq!(result.states, 1, "only the initial state is stored");
         assert_eq!(result.states_per_depth, vec![1]);
@@ -1962,7 +1959,8 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result =
+            explore_with_config_jobs(&Grid, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert_eq!(result.stop_reason, Some(StopReason::Cancelled));
         assert!(!result.complete);
     }
@@ -1980,7 +1978,8 @@ mod tests {
             ))),
             ..Default::default()
         };
-        let seq = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let seq =
+            explore_with_config_jobs(&Grid, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert_eq!(seq.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(!seq.complete);
         assert!(
@@ -2023,7 +2022,7 @@ mod tests {
             max_states: 1000,
             max_depth: 16,
         };
-        let seq = explore_with_config(&Grid, &[], &limits, &config, &Obs::noop());
+        let seq = explore_with_config_jobs(&Grid, &[], &limits, &config, 1, &Obs::noop());
         assert_eq!(seq.faults.len(), 1);
         assert_eq!(seq.faults[0].site, "successor:3");
         assert!(
@@ -2051,7 +2050,14 @@ mod tests {
         use equitls_rewrite::budget::Fault;
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let straight = explore(&Grid, &monitors, &Limits::default());
+        let straight = explore_with_config_jobs(
+            &Grid,
+            &monitors,
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         for jobs in [1usize, 2, 4] {
             let path = tmp_snapshot(&format!("grid_resume_{jobs}"));
             let _ = std::fs::remove_file(&path);
@@ -2117,7 +2123,7 @@ mod tests {
             ..Default::default()
         };
         let straight =
-            explore_with_config(&Counter, &[], &Limits::default(), &config, &Obs::noop());
+            explore_with_config_jobs(&Counter, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert!(straight.complete);
         let resumed = explore_resume_with_config_jobs(
             &Counter,
@@ -2189,7 +2195,8 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             ..Default::default()
         };
-        let result = explore_with_config(&Opaque, &[], &Limits::default(), &config, &Obs::noop());
+        let result =
+            explore_with_config_jobs(&Opaque, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert!(result.complete, "the search itself is unaffected");
         assert!(!path.exists(), "no snapshot is written without an encoder");
     }
@@ -2230,16 +2237,26 @@ mod tests {
     fn unexpanded_discloses_dropped_states_at_every_jobs_value() {
         use equitls_rewrite::budget::Fault;
         // A complete run drops nothing.
-        let full = explore(&Grid, &[], &full_limits());
+        let full = explore_with_config_jobs(
+            &Grid,
+            &[],
+            &full_limits(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert_eq!(full.unexpanded, 0);
         // A depth-capped run discloses the frontier it never expanded.
-        let shallow = explore(
+        let shallow = explore_with_config_jobs(
             &Grid,
             &[],
             &Limits {
                 max_states: 1000,
                 max_depth: 2,
             },
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
         assert_eq!(shallow.stop_reason, Some(StopReason::DepthCapReached));
         assert_eq!(
@@ -2258,7 +2275,8 @@ mod tests {
             ))),
             ..Default::default()
         };
-        let seq = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let seq =
+            explore_with_config_jobs(&Grid, &[], &Limits::default(), &config, 1, &Obs::noop());
         assert_eq!(seq.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(seq.unexpanded > 0, "a mid-level stop drops states");
         // The books balance: every state is visited, enqueued, or never
@@ -2277,13 +2295,16 @@ mod tests {
             assert_eq!(par.states, seq.states, "jobs {jobs}");
         }
         // The structural state cap also disclosed: cap the grid at 7.
-        let capped = explore(
+        let capped = explore_with_config_jobs(
             &Grid,
             &[],
             &Limits {
                 max_states: 7,
                 max_depth: 16,
             },
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
         assert_eq!(capped.stop_reason, Some(StopReason::StateCapReached));
         assert!(capped.unexpanded > 0);
@@ -2293,7 +2314,14 @@ mod tests {
     fn spilled_exploration_is_bit_identical_to_resident() {
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let resident = explore(&Grid, &monitors, &Limits::default());
+        let resident = explore_with_config_jobs(
+            &Grid,
+            &monitors,
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert!(!resident.all_hold());
         for jobs in [1usize, 2, 4] {
             let dir = tmp_spill_dir(&format!("identical_{jobs}"));
@@ -2330,7 +2358,7 @@ mod tests {
         // completes by spilling — the same ceiling, disclosed degradation
         // instead of silence.
         let ceiling = 3000;
-        let truncated = explore_with_config(
+        let truncated = explore_with_config_jobs(
             &Grid,
             &[],
             &full_limits(),
@@ -2338,6 +2366,7 @@ mod tests {
                 budget: Budget::unlimited().with_max_heap_bytes(ceiling),
                 ..Default::default()
             },
+            1,
             &Obs::noop(),
         );
         assert_eq!(truncated.stop_reason, Some(StopReason::MemoryExceeded));
@@ -2345,7 +2374,7 @@ mod tests {
         assert!(truncated.unexpanded > 0, "the truncation is disclosed");
 
         let dir = tmp_spill_dir("pressure");
-        let spilled = explore_with_config(
+        let spilled = explore_with_config_jobs(
             &Grid,
             &[],
             &full_limits(),
@@ -2355,6 +2384,7 @@ mod tests {
                 spill_shards: 4,
                 ..Default::default()
             },
+            1,
             &Obs::noop(),
         );
         assert_eq!(spilled.stop_reason, None, "the spill tier absorbed it");
@@ -2370,7 +2400,14 @@ mod tests {
         use equitls_rewrite::budget::Fault;
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let straight = explore(&Grid, &monitors, &Limits::default());
+        let straight = explore_with_config_jobs(
+            &Grid,
+            &monitors,
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         let dir = tmp_spill_dir("resume");
         let path = tmp_snapshot("spilled_resume");
         let _ = std::fs::remove_file(&path);
@@ -2384,7 +2421,7 @@ mod tests {
         };
         // Interrupt mid-search, after barriers that both spilled shards
         // and wrote a manifest checkpoint.
-        let partial = explore_with_config(
+        let partial = explore_with_config_jobs(
             &Grid,
             &monitors,
             &Limits::default(),
@@ -2393,6 +2430,7 @@ mod tests {
                 FaultKind::DeadlineExpiry,
                 7,
             )))),
+            1,
             &Obs::noop(),
         );
         assert_eq!(partial.stop_reason, Some(StopReason::DeadlineExceeded));
@@ -2455,7 +2493,14 @@ mod tests {
     #[test]
     fn injected_spill_write_fault_degrades_without_data_loss() {
         use equitls_rewrite::budget::Fault;
-        let resident = explore(&Grid, &[], &full_limits());
+        let resident = explore_with_config_jobs(
+            &Grid,
+            &[],
+            &full_limits(),
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         let dir = tmp_spill_dir("wfault");
         // The very first shard write fails "disk full": that shard stays
         // resident (backpressure), the pass moves on, the search
@@ -2469,7 +2514,8 @@ mod tests {
             spill_shards: 2,
             ..Default::default()
         };
-        let faulted = explore_with_config(&Grid, &[], &full_limits(), &config, &Obs::noop());
+        let faulted =
+            explore_with_config_jobs(&Grid, &[], &full_limits(), &config, 1, &Obs::noop());
         assert!(faulted.complete, "a write fault never wedges the search");
         assert_eq!(faulted.states, resident.states);
         assert_eq!(faulted.states_per_depth, resident.states_per_depth);

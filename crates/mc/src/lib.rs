@@ -21,12 +21,14 @@
 //!
 //! ```
 //! use equitls_mc::prelude::*;
+//! use equitls_obs::sink::Obs;
 //! use equitls_tls::concrete::Scope;
 //!
 //! let mut scope = Scope::counterexample();
 //! scope.max_messages = 2;
 //! let limits = Limits { max_states: 20_000, max_depth: 2 };
-//! let result = check_scope(&scope, &limits);
+//! let config = ExploreConfig::default();
+//! let result = check_scope_config_obs_sym(&scope, &limits, 1, &config, &Obs::noop(), true);
 //! assert!(result.violation("prop1-pms-secrecy").is_none());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -43,14 +45,11 @@ pub mod visited;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::check::{
-        check_scope, check_scope_config, check_scope_config_obs, check_scope_config_obs_sym,
-        check_scope_jobs, check_scope_resume, check_scope_resume_obs, check_scope_resume_obs_sym,
-        expected_outcomes,
+        check_scope_config_obs_sym, check_scope_resume_obs_sym, expected_outcomes,
     };
     pub use crate::explorer::{
-        explore, explore_jobs, explore_resume_with_config_jobs, explore_with_config,
-        explore_with_config_jobs, explore_with_obs, explore_with_obs_jobs, resolve_jobs,
-        Exploration, ExploreConfig, Limits, Violation,
+        explore_resume_with_config_jobs, explore_with_config_jobs, resolve_jobs, Exploration,
+        ExploreConfig, Limits, Violation,
     };
     pub use crate::model::{Model, TlsMachine};
     pub use crate::scenario::{counterexample_2prime, counterexample_3prime, render_trace, Replay};

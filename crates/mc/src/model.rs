@@ -133,20 +133,31 @@ mod tests {
 
     #[test]
     fn symmetry_reduction_shrinks_the_state_space_and_keeps_verdicts() {
-        use crate::check::check_scope;
-        use crate::explorer::{explore, Limits};
+        use crate::check::check_scope_config_obs_sym;
+        use crate::explorer::{explore_with_config_jobs, ExploreConfig, Limits};
+        use equitls_obs::sink::Obs;
         let mut scope = Scope::counterexample();
         scope.max_messages = 2;
         let limits = Limits {
             max_states: 100_000,
             max_depth: 3,
         };
-        let plain = explore(
+        let plain = explore_with_config_jobs(
             &TlsMachine::new(scope.clone()).without_symmetry(),
             &[],
             &limits,
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
         );
-        let reduced = explore(&TlsMachine::new(scope.clone()), &[], &limits);
+        let reduced = explore_with_config_jobs(
+            &TlsMachine::new(scope.clone()),
+            &[],
+            &limits,
+            &ExploreConfig::default(),
+            1,
+            &Obs::noop(),
+        );
         assert!(plain.complete && reduced.complete);
         assert!(
             reduced.states < plain.states,
@@ -155,7 +166,14 @@ mod tests {
             plain.states
         );
         // Verdicts are unchanged (monitors are symmetric).
-        let checked = check_scope(&scope, &limits);
+        let checked = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert!(checked.violation("prop1-pms-secrecy").is_none());
         assert!(checked.violation("prop2p-cf-authentic").is_some());
     }

@@ -16,10 +16,8 @@ use equitls_core::prelude::*;
 use equitls_core::CoreError;
 use equitls_obs::sink::Obs;
 use equitls_rewrite::budget::{Budget, FaultPlan};
-use equitls_rewrite::shared::SharedNfCache;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Robustness and execution options for a verification run.
 ///
@@ -50,18 +48,6 @@ pub struct VerifyOptions {
     /// into the report without re-running. Requires a valid snapshot at
     /// `checkpoint_path` (typed `CoreError::Persist` otherwise).
     pub resume: bool,
-    /// Share normal forms across this property's obligations through a
-    /// fingerprint-keyed concurrent cache. Off by default: hits replay
-    /// cached rewrite sequences, so `rewrites` metrics (never verdicts,
-    /// counts, or scores) may differ from the cold run.
-    pub shared_nf_cache: bool,
-    /// Resident cache handle for `shared_nf_cache` (see
-    /// [`ProverConfig::shared_nf_handle`]): a warm daemon passes the
-    /// cache it keeps alive across requests; one-shot CLI runs leave
-    /// this `None` and get a fresh per-property cache. Must be paired
-    /// with the spec it was warmed on (standard and variant models each
-    /// own one).
-    pub shared_nf_handle: Option<Arc<SharedNfCache>>,
     /// Bypass the discrimination-tree rule index and match candidate
     /// rules by scanning `rules_for_op` lists, as the engine did before
     /// indexing landed. Diagnostic knob: results are bit-identical
@@ -80,8 +66,6 @@ impl Default for VerifyOptions {
             checkpoint_path: None,
             checkpoint_every_secs: 0,
             resume: false,
-            shared_nf_cache: false,
-            shared_nf_handle: None,
             linear_scan: false,
         }
     }
@@ -241,71 +225,15 @@ pub fn plan(name: &str) -> Option<&'static ProofPlan> {
     PLANS.iter().find(|p| p.name == name)
 }
 
-/// Prove one property on the given model.
+/// Prove one property under `opts`, reporting through `obs`: a span per
+/// proof obligation, rewrite/cache counters, and (when
+/// `opts.profile_rules` is on) per-rule match/fire/time profiles.
 ///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property(model: &mut TlsModel, name: &str) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, &Obs::noop(), false, 1)
-}
-
-/// [`verify_property`] on `jobs` worker threads (`0` = available
-/// parallelism). The report is identical for every `jobs` value: each
-/// proof obligation runs on its own clone of the model's spec, so term
-/// arenas never cross threads (see `equitls_core::prover::ProverConfig`).
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_jobs(
-    model: &mut TlsModel,
-    name: &str,
-    jobs: usize,
-) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, &Obs::noop(), false, jobs)
-}
-
-/// [`verify_property`] with an observability handle: a span per proof
-/// obligation, rewrite/cache counters, and (when `profile_rules` is on)
-/// per-rule match/fire/time profiles emitted through `obs`.
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_with(
-    model: &mut TlsModel,
-    name: &str,
-    obs: &Obs,
-    profile_rules: bool,
-) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, obs, profile_rules, 1)
-}
-
-/// [`verify_property_with`] on `jobs` worker threads. Worker obligations
+/// The report is identical for every `opts.jobs` value (`0` = available
+/// parallelism): each proof obligation runs on its own clone of the
+/// model's spec, so term arenas never cross threads. Worker obligations
 /// share the one `obs` handle (sinks are internally synchronized), so a
 /// trace interleaves obligation spans when `jobs > 1`.
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_with_jobs(
-    model: &mut TlsModel,
-    name: &str,
-    obs: &Obs,
-    profile_rules: bool,
-    jobs: usize,
-) -> Result<ProofReport, CoreError> {
-    let opts = VerifyOptions {
-        profile_rules,
-        jobs,
-        ..VerifyOptions::default()
-    };
-    verify_property_opts(model, name, &opts, obs)
-}
-
-/// Prove one property under a [`VerifyOptions`] budget — the funnel every
-/// other `verify_property*` entry point goes through.
 ///
 /// # Errors
 ///
@@ -328,8 +256,6 @@ pub fn verify_property_opts(
         checkpoint_path: opts.checkpoint_path.clone(),
         checkpoint_every_secs: opts.checkpoint_every_secs,
         resume: opts.resume,
-        shared_nf_cache: opts.shared_nf_cache,
-        shared_nf_handle: opts.shared_nf_handle.clone(),
         linear_scan: opts.linear_scan,
         ..defaults
     };
@@ -348,68 +274,18 @@ pub fn verify_property_opts(
     }
 }
 
-/// Prove every property, in campaign order.
+/// Prove every property, in campaign order, under `opts` (see
+/// [`verify_property_opts`]). Parallelism applies within each property
+/// (its obligations fan out); properties still complete in campaign
+/// order. The budget spans the *whole campaign*: once it trips, every
+/// remaining obligation of every remaining property is skipped (reported
+/// open with a `(budget: …)` residual), so a deadline bounds the full
+/// run, not each property.
 ///
 /// # Errors
 ///
 /// First engine failure, if any (open cases are *not* errors — they are
 /// reported in the returned reports).
-pub fn verify_all(model: &mut TlsModel) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, &Obs::noop(), false, 1)
-}
-
-/// [`verify_all`] on `jobs` worker threads (`0` = available parallelism).
-/// Parallelism applies within each property (its obligations fan out);
-/// properties still complete in campaign order.
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_jobs(model: &mut TlsModel, jobs: usize) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, &Obs::noop(), false, jobs)
-}
-
-/// [`verify_all`] with an observability handle (see
-/// [`verify_property_with`]).
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_with(
-    model: &mut TlsModel,
-    obs: &Obs,
-    profile_rules: bool,
-) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, obs, profile_rules, 1)
-}
-
-/// [`verify_all_with`] on `jobs` worker threads.
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_with_jobs(
-    model: &mut TlsModel,
-    obs: &Obs,
-    profile_rules: bool,
-    jobs: usize,
-) -> Result<Vec<ProofReport>, CoreError> {
-    let opts = VerifyOptions {
-        profile_rules,
-        jobs,
-        ..VerifyOptions::default()
-    };
-    verify_all_opts(model, &opts, obs)
-}
-
-/// [`verify_all`] under a [`VerifyOptions`] budget. The budget spans the
-/// *whole campaign*: once it trips, every remaining obligation of every
-/// remaining property is skipped (reported open with a `(budget: …)`
-/// residual), so a deadline bounds the full run, not each property.
-///
-/// # Errors
-///
-/// First engine failure, if any.
 pub fn verify_all_opts(
     model: &mut TlsModel,
     opts: &VerifyOptions,

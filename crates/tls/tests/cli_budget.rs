@@ -1,6 +1,7 @@
 //! `tls-prove` budget flags end-to-end: a starved run must exit nonzero
 //! with a message naming the limit and the offending term — never die
-//! with a panic or report success.
+//! with a panic or report success. An unknown engine flag is a usage
+//! error, never silently ignored.
 
 use std::process::Command;
 
@@ -42,5 +43,15 @@ fn expired_deadline_skips_obligations_and_exits_one() {
     assert!(
         text.contains("deadline exceeded"),
         "message names the deadline stop:\n{text}"
+    );
+}
+
+#[test]
+fn unknown_engine_flag_is_a_usage_error() {
+    let (code, text) = run_tls_prove(&["lem-src-honest", "--shared-cache"]);
+    assert_eq!(code, Some(2), "usage error exits 2; output:\n{text}");
+    assert!(
+        text.contains("unknown flag --shared-cache"),
+        "message names the flag:\n{text}"
     );
 }

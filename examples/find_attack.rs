@@ -15,6 +15,7 @@
 //! cores); the violation trace found is identical for every N.
 
 use equitls::mc::prelude::*;
+use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{props, Scope};
 
 fn parse_jobs() -> usize {
@@ -43,7 +44,14 @@ fn main() {
         max_states: 100_000,
         max_depth: 3,
     };
-    let result = explore_jobs(&machine, &[("prop2p", &monitor)], &limits, jobs);
+    let result = explore_with_config_jobs(
+        &machine,
+        &[("prop2p", &monitor)],
+        &limits,
+        &ExploreConfig::default(),
+        jobs,
+        &Obs::noop(),
+    );
     println!(
         "explored {} states to depth {} in {:?} (complete: {})",
         result.states, result.depth_reached, result.duration, result.complete

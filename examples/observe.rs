@@ -20,6 +20,7 @@
 use equitls::obs::sink::{JsonlSink, Obs, RecordingSink};
 use equitls::obs::summary::{Align, MetricsSummary, Table};
 use equitls::obs::trace::Trace;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 use std::sync::Arc;
 
@@ -55,7 +56,16 @@ fn run() {
     let recorder = Arc::new(RecordingSink::new());
     let obs = Obs::new(recorder.clone());
     let mut model = TlsModel::standard().expect("model builds");
-    let report = verify::verify_property_with(&mut model, "inv1", &obs, true).expect("prover runs");
+    let report = verify::verify_property_opts(
+        &mut model,
+        "inv1",
+        &VerifyOptions {
+            profile_rules: true,
+            ..VerifyOptions::default()
+        },
+        &obs,
+    )
+    .expect("prover runs");
     assert!(report.is_proved());
 
     let summary = MetricsSummary::from_events(&recorder.events());
@@ -118,7 +128,16 @@ fn run() {
     let jsonl = JsonlSink::create(path).expect("trace file opens");
     let obs = Obs::new(Arc::new(jsonl));
     let mut model = TlsModel::standard().expect("model builds");
-    let report = verify::verify_property_with(&mut model, "inv1", &obs, true).expect("prover runs");
+    let report = verify::verify_property_opts(
+        &mut model,
+        "inv1",
+        &VerifyOptions {
+            profile_rules: true,
+            ..VerifyOptions::default()
+        },
+        &obs,
+    )
+    .expect("prover runs");
     obs.flush();
     assert!(report.is_proved());
     let lines = std::fs::read_to_string(path)

@@ -12,6 +12,8 @@
 //! ```
 
 use equitls::core::prelude::render_report_table;
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 
 fn main() {
@@ -31,7 +33,8 @@ fn run() {
         println!("== Figure 2 protocol: ServerFinished2 precedes ClientFinished2 ==\n");
         TlsModel::standard().expect("standard model builds")
     };
-    let reports = verify::verify_all(&mut model).expect("campaign runs");
+    let reports = verify::verify_all_opts(&mut model, &VerifyOptions::default(), &Obs::noop())
+        .expect("campaign runs");
     println!("{}", render_report_table(&reports));
     let proved = reports.iter().filter(|r| r.is_proved()).count();
     println!("{proved}/{} properties proved", reports.len());

@@ -10,7 +10,9 @@
 //! ```
 
 use equitls::mc::prelude::{Model, TlsMachine};
+use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{Scope, State};
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 
 fn drive(machine: &TlsMachine, state: &State, prefixes: &[&str]) -> Option<State> {
@@ -87,7 +89,9 @@ fn main() {
 
     println!("\nProving the headline property on the symbolic model:");
     let mut model = TlsModel::standard().expect("model builds");
-    let report = verify::verify_property(&mut model, "inv1").expect("prover runs");
+    let report =
+        verify::verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())
+            .expect("prover runs");
     println!(
         "  inv1 (pre-master secrets cannot be leaked): {}",
         if report.is_proved() { "PROVED" } else { "OPEN" }

@@ -10,6 +10,8 @@
 //! ```
 
 use equitls::core::prelude::{render_passage, render_step_table, Decision};
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 
 fn main() {
@@ -24,7 +26,9 @@ fn run() {
     let mut model = TlsModel::standard().expect("model builds");
 
     println!("== property 1: pre-master secrets cannot be leaked ==\n");
-    let report = verify::verify_property(&mut model, "inv1").expect("prover runs");
+    let report =
+        verify::verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())
+            .expect("prover runs");
     print!("{}", render_step_table(&report));
     println!(
         "\nverdict: {}\n",
@@ -32,7 +36,13 @@ fn run() {
     );
 
     println!("== supporting lemma: gleanable ciphertexts have gleanable payloads ==\n");
-    let lemma = verify::verify_property(&mut model, "lem-cepms-cpms").expect("prover runs");
+    let lemma = verify::verify_property_opts(
+        &mut model,
+        "lem-cepms-cpms",
+        &VerifyOptions::default(),
+        &Obs::noop(),
+    )
+    .expect("prover runs");
     println!(
         "lem-cepms-cpms: {} ({} passages, {:?})\n",
         if lemma.is_proved() { "PROVED" } else { "OPEN" },

@@ -29,10 +29,13 @@
 //! Prove the paper's first property — pre-master secrets cannot be leaked:
 //!
 //! ```
-//! use equitls::tls::{verify, TlsModel};
+//! use equitls::obs::sink::Obs;
+//! use equitls::tls::verify::{self, VerifyOptions};
+//! use equitls::tls::TlsModel;
 //!
 //! let mut model = TlsModel::standard()?;
-//! let report = verify::verify_property(&mut model, "inv1")?;
+//! let report =
+//!     verify::verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())?;
 //! assert!(report.is_proved());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

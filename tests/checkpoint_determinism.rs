@@ -79,7 +79,14 @@ fn assert_same_exploration(resumed: &Exploration<State>, straight: &Exploration<
 fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
     for jobs in JOBS {
         let (scope, limits) = small_scope();
-        let straight = check_scope_jobs(&scope, &limits, jobs);
+        let straight = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            jobs,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert!(straight.complete, "scope finishes uninterrupted");
 
         // Interrupt: the injected "deadline" fires when frontier entry 40
@@ -98,7 +105,8 @@ fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
             checkpoint_every_secs: 0,
             ..ExploreConfig::default()
         };
-        let interrupted = check_scope_config(&scope, &limits, jobs, &interrupt);
+        let interrupted =
+            check_scope_config_obs_sym(&scope, &limits, jobs, &interrupt, &Obs::noop(), true);
         assert!(!interrupted.complete, "fault interrupts the search");
         assert_eq!(interrupted.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(path.exists(), "barrier snapshot was written");
@@ -112,8 +120,8 @@ fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
         };
         let recorder = Arc::new(RecordingSink::new());
         let obs = Obs::new(recorder.clone());
-        let resumed =
-            check_scope_resume_obs(&scope, &limits, jobs, &resume, &obs).expect("snapshot resumes");
+        let resumed = check_scope_resume_obs_sym(&scope, &limits, jobs, &resume, &obs, true)
+            .expect("snapshot resumes");
         assert_same_exploration(&resumed, &straight, &format!("at jobs={jobs}"));
         assert!(
             recorder

@@ -11,6 +11,7 @@
 
 use equitls::core::prelude::{Invariant, InvariantSet, Prover};
 use equitls::mc::prelude::*;
+use equitls::obs::sink::Obs;
 use equitls::spec::parser::{elaborate_term, parse_term_ast, ElabScope};
 use equitls::tls::concrete::Scope;
 use equitls::tls::{verify, TlsModel};
@@ -23,7 +24,14 @@ fn bfs_finds_the_2prime_and_3prime_violations() {
         max_states: 100_000,
         max_depth: 3,
     };
-    let result = check_scope(&scope, &limits);
+    let result = check_scope_config_obs_sym(
+        &scope,
+        &limits,
+        1,
+        &ExploreConfig::default(),
+        &Obs::noop(),
+        true,
+    );
     assert!(result.complete, "the bounded space should be exhausted");
     assert!(result.violation("prop2p-cf-authentic").is_some());
     assert!(result.violation("prop3p-cf2-authentic").is_some());

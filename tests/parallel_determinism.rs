@@ -8,11 +8,9 @@
 //! counts, violation traces, and proved/vacuous/open tallies at
 //! jobs = 1, 2, 4.
 //!
-//! The rewrite engine's accelerators are held to the same contract:
+//! The rewrite engine's accelerator is held to the same contract:
 //! discrimination-tree indexing must be bit-identical to a linear rule
-//! scan (it is a lookup structure, not a strategy), and the shared
-//! normal-form cache may change the `rewrites` fuel tally only — never
-//! a verdict, count, trace, or score.
+//! scan (it is a lookup structure, not a strategy).
 
 use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
@@ -44,7 +42,16 @@ fn tls_scope_exploration_is_identical_at_every_thread_count() {
 
     let runs: Vec<Exploration<_>> = JOBS
         .iter()
-        .map(|&jobs| check_scope_jobs(&scope, &limits, jobs))
+        .map(|&jobs| {
+            check_scope_config_obs_sym(
+                &scope,
+                &limits,
+                jobs,
+                &ExploreConfig::default(),
+                &Obs::noop(),
+                true,
+            )
+        })
         .collect();
     let baseline = &runs[0];
 
@@ -88,12 +95,26 @@ fn profiling_does_not_change_results_at_any_thread_count() {
         max_states: 100_000,
         max_depth: 3,
     };
-    let baseline = check_scope_jobs(&scope, &limits, 1);
+    let baseline = check_scope_config_obs_sym(
+        &scope,
+        &limits,
+        1,
+        &ExploreConfig::default(),
+        &Obs::noop(),
+        true,
+    );
 
     for jobs in JOBS {
         let recorder = Arc::new(RecordingSink::new());
         let obs = Obs::new(recorder.clone());
-        let run = check_scope_config_obs(&scope, &limits, jobs, &ExploreConfig::default(), &obs);
+        let run = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            jobs,
+            &ExploreConfig::default(),
+            &obs,
+            true,
+        );
         assert_eq!(run.states, baseline.states, "state count at jobs={jobs}");
         assert_eq!(run.states_per_depth, baseline.states_per_depth);
         assert_eq!(run.dedup_hits, baseline.dedup_hits);
@@ -115,7 +136,13 @@ fn profiling_does_not_change_results_at_any_thread_count() {
     on_big_stack(|| {
         let baseline = {
             let mut model = TlsModel::standard().unwrap();
-            verify::verify_property_jobs(&mut model, "inv1", 1).unwrap()
+            verify::verify_property_opts(
+                &mut model,
+                "inv1",
+                &VerifyOptions::default(),
+                &Obs::noop(),
+            )
+            .unwrap()
         };
         for jobs in JOBS {
             let recorder = Arc::new(RecordingSink::new());
@@ -232,61 +259,49 @@ fn indexed_matching_is_bit_identical_to_linear_scan() {
     });
 }
 
-/// The shared normal-form cache may only skip work a fresh derivation
-/// would have repeated: a hit replays a published normal form, so it
-/// reduces the `rewrites` fuel counter but can never change a verdict,
-/// a passage/split/proved/vacuous/open tally, or a score — at any
-/// thread count. The scoped model check runs after the cached proof
-/// campaigns in the same process and must match its own pre-campaign
-/// baseline exactly: the concrete explorer never rewrites, and engine
-/// state must not bleed into it.
+/// A scoped model check that runs after proof campaigns in the same
+/// process must match its own pre-campaign baseline exactly: the
+/// concrete explorer never rewrites, and engine state must not bleed
+/// into it.
 #[test]
-fn shared_cache_changes_rewrite_counts_only() {
+fn scope_check_is_unaffected_by_earlier_proof_campaigns() {
     let mut scope = Scope::counterexample();
     scope.max_messages = 2;
     let limits = Limits {
         max_states: 100_000,
         max_depth: 3,
     };
-    let mc_baseline = check_scope_jobs(&scope, &limits, 1);
+    let mc_baseline = check_scope_config_obs_sym(
+        &scope,
+        &limits,
+        1,
+        &ExploreConfig::default(),
+        &Obs::noop(),
+        true,
+    );
 
     on_big_stack(|| {
-        let baseline = {
-            let mut model = TlsModel::standard().unwrap();
-            verify::verify_property_jobs(&mut model, "inv1", 1).unwrap()
-        };
-        assert!(baseline.is_proved());
         for jobs in JOBS {
             let opts = VerifyOptions {
                 jobs,
-                shared_nf_cache: true,
                 ..VerifyOptions::default()
             };
             let mut model = TlsModel::standard().unwrap();
             let report =
                 verify::verify_property_opts(&mut model, "inv1", &opts, &Obs::noop()).unwrap();
-            assert_eq!(report.is_proved(), baseline.is_proved());
-            assert_eq!(report.steps.len(), baseline.steps.len());
-            assert_eq!(report.base.outcome, baseline.base.outcome);
-            for (step, bstep) in report.steps.iter().zip(&baseline.steps) {
-                assert_eq!(step.action, bstep.action, "step order at jobs={jobs}");
-                assert_eq!(step.outcome, bstep.outcome, "verdict at jobs={jobs}");
-                assert_eq!(step.scores, bstep.scores, "scores at jobs={jobs}");
-                // Every tally except the fuel spent must match the cold
-                // run; `rewrites` is exactly what a cache hit saves.
-                let (m, bm) = (&step.metrics, &bstep.metrics);
-                assert_eq!(m.passages, bm.passages, "passages at jobs={jobs}");
-                assert_eq!(m.splits, bm.splits, "splits at jobs={jobs}");
-                assert_eq!(m.max_depth, bm.max_depth, "depth at jobs={jobs}");
-                assert_eq!(m.proved, bm.proved, "proved at jobs={jobs}");
-                assert_eq!(m.vacuous, bm.vacuous, "vacuous at jobs={jobs}");
-                assert_eq!(m.open, bm.open, "open at jobs={jobs}");
-            }
+            assert!(report.is_proved(), "inv1 at jobs={jobs}");
         }
     });
 
     for jobs in JOBS {
-        let run = check_scope_jobs(&scope, &limits, jobs);
+        let run = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            jobs,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert_eq!(run.states, mc_baseline.states, "mc states at jobs={jobs}");
         assert_eq!(run.states_per_depth, mc_baseline.states_per_depth);
         assert_eq!(run.dedup_hits, mc_baseline.dedup_hits);
@@ -306,7 +321,16 @@ fn full_proof_score_is_identical_at_every_thread_count() {
             .iter()
             .map(|&jobs| {
                 let mut model = TlsModel::standard().unwrap();
-                verify::verify_property_jobs(&mut model, "inv1", jobs).unwrap()
+                verify::verify_property_opts(
+                    &mut model,
+                    "inv1",
+                    &VerifyOptions {
+                        jobs,
+                        ..VerifyOptions::default()
+                    },
+                    &Obs::noop(),
+                )
+                .unwrap()
             })
             .collect();
         let baseline = &reports[0];

@@ -7,6 +7,8 @@
 //! auxiliary lemmas) are machine-checked by the mechanized proof-score
 //! prover.
 
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel, Variant};
 
 fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -23,7 +25,13 @@ fn the_five_main_properties_prove_on_the_standard_protocol() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
         for name in ["inv1", "inv2", "inv3", "inv4", "inv5"] {
-            let report = verify::verify_property(&mut model, name).unwrap();
+            let report = verify::verify_property_opts(
+                &mut model,
+                name,
+                &VerifyOptions::default(),
+                &Obs::noop(),
+            )
+            .unwrap();
             assert!(
                 report.is_proved(),
                 "{name} should prove; open cases: {:#?}",
@@ -38,7 +46,13 @@ fn all_thirteen_auxiliary_lemmas_prove() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
         for plan in verify::PLANS.iter().filter(|p| p.name.starts_with("lem-")) {
-            let report = verify::verify_property(&mut model, plan.name).unwrap();
+            let report = verify::verify_property_opts(
+                &mut model,
+                plan.name,
+                &VerifyOptions::default(),
+                &Obs::noop(),
+            )
+            .unwrap();
             assert!(
                 report.is_proved(),
                 "{} should prove; open cases: {:#?}",
@@ -58,7 +72,13 @@ fn the_variant_protocol_satisfies_the_same_properties() {
         let mut model = TlsModel::variant().unwrap();
         assert_eq!(model.variant, Variant::ClientFinished2First);
         for name in ["inv1", "inv2", "inv3", "inv4", "inv5"] {
-            let report = verify::verify_property(&mut model, name).unwrap();
+            let report = verify::verify_property_opts(
+                &mut model,
+                name,
+                &VerifyOptions::default(),
+                &Obs::noop(),
+            )
+            .unwrap();
             assert!(
                 report.is_proved(),
                 "{name} should prove on the variant; open: {:#?}",
@@ -72,7 +92,13 @@ fn the_variant_protocol_satisfies_the_same_properties() {
 fn proof_reports_count_passages_and_splits() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
-        let report = verify::verify_property(&mut model, "inv1").unwrap();
+        let report = verify::verify_property_opts(
+            &mut model,
+            "inv1",
+            &VerifyOptions::default(),
+            &Obs::noop(),
+        )
+        .unwrap();
         // The inductive proof covers init + all 27 transitions.
         assert_eq!(report.steps.len(), 27);
         assert!(report.total_passages() > 27, "at least one passage each");

@@ -135,7 +135,7 @@ fn deadline_expired_exploration_is_partial_with_a_typed_reason() {
         fault_plan: None,
         ..ExploreConfig::default()
     };
-    let result = check_scope_config(&scope, &limits, 1, &config);
+    let result = check_scope_config_obs_sym(&scope, &limits, 1, &config, &Obs::noop(), true);
     assert!(!result.complete);
     assert_eq!(result.stop_reason, Some(StopReason::DeadlineExceeded));
     assert_eq!(
@@ -162,7 +162,7 @@ fn injected_deadline_truncates_the_tls_scope_identically_at_every_jobs() {
     };
     let runs: Vec<_> = JOBS
         .iter()
-        .map(|&jobs| check_scope_config(&scope, &limits, jobs, &config))
+        .map(|&jobs| check_scope_config_obs_sym(&scope, &limits, jobs, &config, &Obs::noop(), true))
         .collect();
     let baseline = &runs[0];
     assert!(!baseline.complete);
@@ -203,7 +203,7 @@ fn two_second_deadline_smoke_is_identical_at_jobs_1_2_4() {
     };
     let runs: Vec<_> = JOBS
         .iter()
-        .map(|&jobs| check_scope_config(&scope, &limits, jobs, &config))
+        .map(|&jobs| check_scope_config_obs_sym(&scope, &limits, jobs, &config, &Obs::noop(), true))
         .collect();
     let baseline = &runs[0];
     assert!(baseline.complete, "scope should finish inside the deadline");

@@ -17,6 +17,7 @@
 //!    never silently-wrong states.
 
 use equitls::mc::prelude::*;
+use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{Scope, State};
 use std::path::{Path, PathBuf};
 
@@ -90,7 +91,14 @@ fn spill_config(dir: &Path, fault_plan: Option<FaultPlan>) -> ExploreConfig {
 fn spilled_scope_check_is_bit_identical_at_jobs_1_2_4() {
     on_big_stack(|| {
         let (scope, limits) = small_scope();
-        let resident = check_scope(&scope, &limits);
+        let resident = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert!(resident.complete, "the resident baseline finishes");
         assert!(
             resident.violation("prop2p-cf-authentic").is_some(),
@@ -98,7 +106,14 @@ fn spilled_scope_check_is_bit_identical_at_jobs_1_2_4() {
         );
         for jobs in JOBS {
             let dir = tmp_spill_dir(&format!("identical_j{jobs}"));
-            let spilled = check_scope_config(&scope, &limits, jobs, &spill_config(&dir, None));
+            let spilled = check_scope_config_obs_sym(
+                &scope,
+                &limits,
+                jobs,
+                &spill_config(&dir, None),
+                &Obs::noop(),
+                true,
+            );
             assert_same_exploration(&spilled, &resident, &format!("jobs={jobs}"));
             assert!(
                 spilled.spill_shards > 0,
@@ -118,7 +133,14 @@ fn spilled_scope_check_is_bit_identical_at_jobs_1_2_4() {
 fn interrupted_spilled_run_resumes_byte_identical() {
     on_big_stack(|| {
         let (scope, limits) = small_scope();
-        let straight = check_scope(&scope, &limits);
+        let straight = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         for jobs in JOBS {
             let dir = tmp_spill_dir(&format!("resume_j{jobs}"));
             let path = tmp_snapshot(&format!("resume_j{jobs}"));
@@ -134,7 +156,8 @@ fn interrupted_spilled_run_resumes_byte_identical() {
                 ))),
             );
             interrupt.checkpoint_path = Some(path.clone());
-            let interrupted = check_scope_config(&scope, &limits, jobs, &interrupt);
+            let interrupted =
+                check_scope_config_obs_sym(&scope, &limits, jobs, &interrupt, &Obs::noop(), true);
             assert!(!interrupted.complete, "the fault interrupts the search");
             assert!(
                 interrupted.spill_shards > 0,
@@ -146,8 +169,9 @@ fn interrupted_spilled_run_resumes_byte_identical() {
             // uninterrupted all-resident run exactly.
             let mut resume = spill_config(&dir, None);
             resume.checkpoint_path = Some(path.clone());
-            let resumed = check_scope_resume(&scope, &limits, jobs, &resume)
-                .expect("manifest snapshot resumes");
+            let resumed =
+                check_scope_resume_obs_sym(&scope, &limits, jobs, &resume, &Obs::noop(), true)
+                    .expect("manifest snapshot resumes");
             assert_same_exploration(&resumed, &straight, &format!("resume jobs={jobs}"));
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_dir_all(&dir);
@@ -171,7 +195,8 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
             ))),
         );
         interrupt.checkpoint_path = Some(path.clone());
-        let interrupted = check_scope_config(&scope, &limits, 1, &interrupt);
+        let interrupted =
+            check_scope_config_obs_sym(&scope, &limits, 1, &interrupt, &Obs::noop(), true);
         assert!(interrupted.spill_shards > 0 && path.exists());
         let shard_files: Vec<PathBuf> = std::fs::read_dir(&dir)
             .expect("spill dir exists")
@@ -190,13 +215,13 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
         std::fs::write(victim, &flipped).unwrap();
         let mut resume = spill_config(&dir, None);
         resume.checkpoint_path = Some(path.clone());
-        let err = check_scope_resume(&scope, &limits, 1, &resume)
+        let err = check_scope_resume_obs_sym(&scope, &limits, 1, &resume, &Obs::noop(), true)
             .expect_err("a byte-flipped shard cannot resume");
         assert_eq!(err, PersistError::ChecksumMismatch, "typed, not a panic");
 
         // Truncation: typed too.
         std::fs::write(victim, &pristine[..pristine.len() / 2]).unwrap();
-        let err = check_scope_resume(&scope, &limits, 1, &resume)
+        let err = check_scope_resume_obs_sym(&scope, &limits, 1, &resume, &Obs::noop(), true)
             .expect_err("a truncated shard cannot resume");
         assert!(
             matches!(
@@ -209,9 +234,16 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
         // Restored bytes resume cleanly: the revalidation really was
         // checking content, not rejecting the resume path wholesale.
         std::fs::write(victim, &pristine).unwrap();
-        let resumed =
-            check_scope_resume(&scope, &limits, 1, &resume).expect("pristine bytes resume");
-        let straight = check_scope(&scope, &limits);
+        let resumed = check_scope_resume_obs_sym(&scope, &limits, 1, &resume, &Obs::noop(), true)
+            .expect("pristine bytes resume");
+        let straight = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         assert_same_exploration(&resumed, &straight, "after restore");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(&dir);
@@ -222,7 +254,14 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
 fn injected_spill_write_fault_never_changes_the_verdicts() {
     on_big_stack(|| {
         let (scope, limits) = small_scope();
-        let resident = check_scope(&scope, &limits);
+        let resident = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+            true,
+        );
         let dir = tmp_spill_dir("wfault");
         // Every spill write fails "disk full": all shards stay resident
         // (graceful backpressure), the check completes with identical
@@ -233,7 +272,14 @@ fn injected_spill_write_fault_never_changes_the_verdicts() {
                 Fault::new(FaultSite::SpillWrite, FaultKind::IoError, attempt).in_scope("visited"),
             );
         }
-        let faulted = check_scope_config(&scope, &limits, 1, &spill_config(&dir, Some(plan)));
+        let faulted = check_scope_config_obs_sym(
+            &scope,
+            &limits,
+            1,
+            &spill_config(&dir, Some(plan)),
+            &Obs::noop(),
+            true,
+        );
         assert!(faulted.complete, "write faults never wedge the search");
         assert_same_exploration(&faulted, &resident, "under write faults");
         assert!(
