@@ -24,6 +24,7 @@ use equitls_bench::harness::bench;
 use equitls_mc::prelude::*;
 use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
+use equitls_rewrite::par::{on_big_stack, resolve_jobs};
 use equitls_tls::concrete::Scope;
 use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{verify, TlsModel};
@@ -155,27 +156,23 @@ fn main() {
         });
 
     // The prover recurses deeply; run everything on a big stack.
-    let worker = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(move || {
-            let explorer = bench_explorer(samples, smoke);
-            let prover = bench_prover(samples, smoke);
-            let stamp = |var: &str| {
-                JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
-            };
-            let doc = obj(vec![
-                ("experiment", JsonValue::String("E14-parallel".to_string())),
-                ("git_rev", stamp("BENCH_GIT_REV")),
-                ("hostname", stamp("BENCH_HOSTNAME")),
-                ("cores", num(resolve_jobs(0) as f64)),
-                ("samples", num(samples as f64)),
-                ("smoke", JsonValue::Bool(smoke)),
-                ("explorer", JsonValue::Array(explorer)),
-                ("prover", JsonValue::Array(prover)),
-            ]);
-            std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_parallel.json");
-            println!("wrote {}", out_path.display());
-        })
-        .expect("spawn bench thread");
-    worker.join().expect("bench thread panicked");
+    on_big_stack(move || {
+        let explorer = bench_explorer(samples, smoke);
+        let prover = bench_prover(samples, smoke);
+        let stamp = |var: &str| {
+            JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
+        };
+        let doc = obj(vec![
+            ("experiment", JsonValue::String("E14-parallel".to_string())),
+            ("git_rev", stamp("BENCH_GIT_REV")),
+            ("hostname", stamp("BENCH_HOSTNAME")),
+            ("cores", num(resolve_jobs(0) as f64)),
+            ("samples", num(samples as f64)),
+            ("smoke", JsonValue::Bool(smoke)),
+            ("explorer", JsonValue::Array(explorer)),
+            ("prover", JsonValue::Array(prover)),
+        ]);
+        std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_parallel.json");
+        println!("wrote {}", out_path.display());
+    });
 }

@@ -9,6 +9,7 @@
 use equitls_bench::harness::bench;
 use equitls_core::prelude::*;
 use equitls_obs::sink::Obs;
+use equitls_rewrite::par::on_big_stack;
 use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{verify, TlsModel};
 use std::hint::black_box;
@@ -22,21 +23,12 @@ const REPRESENTATIVES: [&str; 6] = [
     "lem-sf-session",
 ];
 
-fn with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
-
 fn bench_standard() {
     println!("== prove-standard");
     for name in REPRESENTATIVES {
         bench(&format!("prove-standard/{name}"), 3, move || {
             let name = name.to_string();
-            with_big_stack(move || {
+            on_big_stack(move || {
                 let mut model = TlsModel::standard().expect("model builds");
                 let report = verify::verify_property_opts(
                     &mut model,
@@ -57,7 +49,7 @@ fn bench_variant() {
     for name in ["inv1", "inv2", "inv3"] {
         bench(&format!("prove-variant/{name}"), 3, move || {
             let name = name.to_string();
-            with_big_stack(move || {
+            on_big_stack(move || {
                 let mut model = TlsModel::variant().expect("model builds");
                 let report = verify::verify_property_opts(
                     &mut model,
@@ -82,7 +74,7 @@ fn bench_witness_ablation() {
             "without"
         };
         bench(&format!("witness-ablation/{label}"), 3, move || {
-            with_big_stack(move || {
+            on_big_stack(move || {
                 let mut model = TlsModel::standard().expect("model builds");
                 let config = if witnesses {
                     verify::prover_config(&model)

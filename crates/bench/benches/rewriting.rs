@@ -37,6 +37,7 @@ use equitls_bench::{bool_world, random_formula, truth_table_tautology};
 use equitls_obs::json::JsonValue;
 use equitls_obs::sink::{Obs, RecordingSink};
 use equitls_obs::summary::{rate_per_sec, MetricsSummary};
+use equitls_rewrite::par::{on_big_stack, resolve_jobs};
 use equitls_rewrite::prelude::*;
 use equitls_tls::verify::{self, VerifyOptions};
 use equitls_tls::TlsModel;
@@ -243,33 +244,26 @@ fn main() {
         });
 
     // Proof search and gleaning recurse deeply; run on a big stack.
-    let worker = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(move || {
-            if !smoke {
-                bench_ring_throughput();
-                bench_ring_vs_truth_table();
-                bench_gleaning_reduction();
-            }
-            let campaign = bench_campaign(samples, smoke);
-            let stamp = |var: &str| {
-                JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
-            };
-            let cores = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            let doc = obj(vec![
-                ("experiment", JsonValue::String("E19-rewriting".to_string())),
-                ("git_rev", stamp("BENCH_GIT_REV")),
-                ("hostname", stamp("BENCH_HOSTNAME")),
-                ("cores", num(cores as f64)),
-                ("samples", num(samples as f64)),
-                ("smoke", JsonValue::Bool(smoke)),
-                ("campaign", JsonValue::Array(campaign)),
-            ]);
-            std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_rewriting.json");
-            println!("wrote {}", out_path.display());
-        })
-        .expect("spawn bench thread");
-    worker.join().expect("bench thread panicked");
+    on_big_stack(move || {
+        if !smoke {
+            bench_ring_throughput();
+            bench_ring_vs_truth_table();
+            bench_gleaning_reduction();
+        }
+        let campaign = bench_campaign(samples, smoke);
+        let stamp = |var: &str| {
+            JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
+        };
+        let doc = obj(vec![
+            ("experiment", JsonValue::String("E19-rewriting".to_string())),
+            ("git_rev", stamp("BENCH_GIT_REV")),
+            ("hostname", stamp("BENCH_HOSTNAME")),
+            ("cores", num(resolve_jobs(0) as f64)),
+            ("samples", num(samples as f64)),
+            ("smoke", JsonValue::Bool(smoke)),
+            ("campaign", JsonValue::Array(campaign)),
+        ]);
+        std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_rewriting.json");
+        println!("wrote {}", out_path.display());
+    });
 }

@@ -29,6 +29,7 @@
 
 use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
+use equitls_rewrite::par::resolve_jobs;
 use equitls_serve::engine::{Admission, ServeConfig, ServeEngine};
 use equitls_serve::proto::{JobKind, JobRequest};
 use std::time::{Duration, Instant};
@@ -128,14 +129,11 @@ fn main() {
 
     let stamp =
         |var: &str| JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()));
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let doc = obj(vec![
         ("experiment", JsonValue::String("E20-serve".to_string())),
         ("git_rev", stamp("BENCH_GIT_REV")),
         ("hostname", stamp("BENCH_HOSTNAME")),
-        ("cores", num(cores as f64)),
+        ("cores", num(resolve_jobs(0) as f64)),
         ("samples", num(samples as f64)),
         ("smoke", JsonValue::Bool(smoke)),
         ("property", JsonValue::String(property.to_string())),

@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::invariant::{Invariant, InvariantSet};
     pub use crate::ledger::{Ledger, LedgerEntry};
     pub use crate::ots::{Action, Observer, Ots};
-    pub use crate::prover::{resolve_jobs, Hints, Prover, ProverConfig};
+    pub use crate::prover::{Hints, Prover, ProverConfig};
     pub use crate::report::{
         CaseOutcome, Decision, OpenCase, ProofReport, ProverMetrics, StepReport,
     };

@@ -38,11 +38,11 @@ use equitls_obs::sink::Obs;
 use equitls_rewrite::assumption::orient_equation;
 use equitls_rewrite::boolring::Poly;
 use equitls_rewrite::budget::{panic_message, trigger_injected_panic};
+use equitls_rewrite::par::par_map;
 use equitls_rewrite::prelude::*;
 use equitls_spec::spec::Spec;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -133,18 +133,6 @@ impl Default for ProverConfig {
             resume: false,
             linear_scan: false,
         }
-    }
-}
-
-/// Resolve a `jobs` request: `0` means "use the machine's available
-/// parallelism", anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
     }
 }
 
@@ -1159,12 +1147,6 @@ struct TaskCtx<'c> {
     case_lemmas: Vec<String>,
 }
 
-/// Stack size for prover worker threads. The case-split recursion on top
-/// of the rewrite engine's recursion overflows the platform default on
-/// the TLS obligations; the repo's binaries and integration tests already
-/// run the prover on 512 MiB stacks, so workers match that.
-const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
-
 /// The obligation name a task reports under.
 fn task_name(task: &Task<'_>) -> String {
     match task {
@@ -1386,54 +1368,25 @@ fn run_or_reuse(
     result
 }
 
-/// Run `tasks` on `config.jobs` workers and return the reports in task
-/// order. Workers pull the next task off a shared atomic index; results
-/// land in per-task slots, so the output order (and, with several
-/// failures, which error is reported — the lowest-index one) never
-/// depends on scheduling. With `config.checkpoint_path` set, every
-/// finished obligation lands in the ledger and a final snapshot is forced
-/// when the tasks are done.
+/// Run `tasks` on `config.jobs` workers of the shared pool
+/// ([`par_map`]) and return the reports in task order. Every task runs,
+/// and with several failures the lowest-index error is reported, so
+/// neither the output nor the error depends on scheduling. With
+/// `config.checkpoint_path` set, every finished obligation lands in the
+/// ledger and a final snapshot is forced when the tasks are done.
 fn run_tasks(ctx: &TaskCtx<'_>, tasks: &[Task<'_>]) -> Result<Vec<StepReport>, CoreError> {
     let writer = open_ledger(ctx)?;
-    let jobs = resolve_jobs(ctx.config.jobs).min(tasks.len().max(1));
-    let reports: Result<Vec<StepReport>, CoreError> = if jobs <= 1 {
-        tasks
-            .iter()
-            .map(|t| run_or_reuse(ctx, t, writer.as_ref()))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<StepReport, CoreError>>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..jobs {
-                std::thread::Builder::new()
-                    .name(format!("prover-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        let result = run_or_reuse(ctx, &tasks[i], writer.as_ref());
-                        *slots[i].lock().expect("result slot") = Some(result);
-                    })
-                    .expect("spawn prover worker");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every task was completed by a worker")
-            })
-            .collect()
-    };
+    let reports = par_map(
+        "prover",
+        ctx.config.jobs,
+        tasks,
+        |_| (),
+        |(), task| run_or_reuse(ctx, task, writer.as_ref()),
+    );
     if let Some(writer) = &writer {
         writer.lock().expect("ledger lock").save(ctx.obs);
     }
-    reports
+    reports.into_iter().collect()
 }
 
 /// A recoverable rewriting stop: fuel ran out or the shared budget

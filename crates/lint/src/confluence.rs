@@ -19,6 +19,11 @@
 //! the zero polynomial) is unreachable and pruned, and a conditional pair
 //! that fails to join is a warning rather than an error (the conditions
 //! may be jointly unsatisfiable in ways the polynomial ring cannot see).
+//!
+//! Pairs are judged independently, so [`check_confluence`] fans them out
+//! on the workspace's shared worker pool
+//! ([`equitls_rewrite::par::par_map`]); the verdicts come back in pair
+//! order and the report is the same at every `jobs` value.
 
 use crate::diagnostics::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 use equitls_kernel::subst::Subst;
@@ -26,13 +31,8 @@ use equitls_kernel::term::{TermId, TermStore};
 use equitls_kernel::unify::{apply_to_fixpoint, function_positions, replace_at, unify};
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::engine::Normalizer;
+use equitls_rewrite::par::par_map;
 use equitls_rewrite::rule::{Rule, RuleSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Stack size for joinability workers: normalization recurses over term
-/// structure, and TLS protocol states nest deeply.
-const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// Fuel per critical-pair normalization: generous for honest systems,
 /// small enough that a diverging mutant fails fast into "undecided".
@@ -199,26 +199,16 @@ fn judge(store: &mut TermStore, alg: &BoolAlg, rules: &RuleSet, cp: &CriticalPai
     }
 }
 
-/// Run the local-confluence pass, reporting into `report`.
-pub fn check_confluence(
-    store: &mut TermStore,
-    alg: &BoolAlg,
-    rules: &RuleSet,
-    config: &LintConfig,
-    report: &mut LintReport,
-) -> ConfluenceOutcome {
-    check_confluence_jobs(store, alg, rules, config, report, 1)
-}
-
-/// [`check_confluence`] with an explicit worker count.
+/// Run the local-confluence pass on `jobs` workers (`0` = all cores),
+/// reporting into `report`.
 ///
-/// Pairs are enumerated on the caller's store; with `jobs > 1` each worker
-/// clones the store (a clone shares no state, and every `TermId` in a pair
-/// stays valid in the clone since interning is deterministic) and pulls
-/// pair indices off a shared atomic counter. Verdicts land in per-pair
-/// slots and diagnostics are emitted on the calling thread in pair order,
-/// so the report is byte-identical at every jobs level.
-pub fn check_confluence_jobs(
+/// Pairs are enumerated on the caller's store, then judged on the shared
+/// pool ([`par_map`]): each worker judges on its own clone of the store (a
+/// clone shares no state, and every `TermId` in a pair stays valid in the
+/// clone since interning is deterministic). Verdicts come back in pair
+/// order and diagnostics are emitted on the calling thread, so the report
+/// is byte-identical at every jobs level.
+pub fn check_confluence(
     store: &mut TermStore,
     alg: &BoolAlg,
     rules: &RuleSet,
@@ -227,42 +217,14 @@ pub fn check_confluence_jobs(
     jobs: usize,
 ) -> ConfluenceOutcome {
     let cps = critical_pairs(store, rules);
-    let jobs = jobs.max(1).min(cps.len().max(1));
-    let verdicts: Vec<Joinability> = if jobs <= 1 {
-        cps.iter().map(|cp| judge(store, alg, rules, cp)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Joinability>>> = cps.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..jobs {
-                let worker_store = store.clone();
-                let (next, slots, cps) = (&next, &slots, &cps);
-                std::thread::Builder::new()
-                    .name(format!("lint-cp-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, move || {
-                        let mut store = worker_store;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= cps.len() {
-                                break;
-                            }
-                            let verdict = judge(&mut store, alg, rules, &cps[i]);
-                            *slots[i].lock().expect("verdict slot poisoned") = Some(verdict);
-                        }
-                    })
-                    .expect("spawning a lint worker thread");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("verdict slot poisoned")
-                    .expect("every pair was judged")
-            })
-            .collect()
-    };
+    let store = &*store;
+    let verdicts = par_map(
+        "lint-cp",
+        jobs,
+        &cps,
+        |_| store.clone(),
+        |store, cp| judge(store, alg, rules, cp),
+    );
 
     let mut outcome = ConfluenceOutcome {
         pairs: cps.len(),
@@ -354,7 +316,7 @@ mod tests {
         let rules = hd_bool_rules(&mut store, &alg).unwrap();
         let config = LintConfig::new();
         let mut report = LintReport::new("BOOL");
-        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report);
+        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report, 1);
         assert!(outcome.pairs > 0, "the HD system has overlaps");
         assert_eq!(outcome.unjoinable, 0, "{report}");
         assert_eq!(outcome.undecided, 0, "{report}");
@@ -378,7 +340,7 @@ mod tests {
             .unwrap();
         let config = LintConfig::new();
         let mut report = LintReport::new("bad");
-        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report);
+        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report, 1);
         // Both orderings of the root overlap yield (true, false).
         assert_eq!(outcome.unjoinable, 2, "{report}");
         assert!(report.has_deny());
@@ -404,7 +366,7 @@ mod tests {
             .unwrap();
         let config = LintConfig::new();
         let mut report = LintReport::new("guarded");
-        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report);
+        let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report, 1);
         assert_eq!(outcome.unjoinable, 0, "{report}");
         assert_eq!(outcome.pruned, 2, "{report}");
         assert!(!report.has_deny());

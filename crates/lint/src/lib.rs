@@ -79,8 +79,9 @@ pub const PASSES: [&str; 6] = [
 /// Knobs for the pass drivers.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
-    /// Worker threads for critical-pair joinability (the report is
-    /// identical at every level; see [`confluence::check_confluence_jobs`]).
+    /// Worker threads for critical-pair joinability, `0` = all cores (the
+    /// report is identical at every level; see
+    /// [`confluence::check_confluence`]).
     pub jobs: usize,
     /// Additional dependency-analysis roots, merged with the spec's
     /// `{root}`-marked operators.
@@ -153,7 +154,7 @@ fn run_analysis(
                 termination::check_termination(scratch, rules, config, &mut sub);
             }
             "confluence" => {
-                confluence::check_confluence_jobs(scratch, alg, rules, config, &mut sub, jobs);
+                confluence::check_confluence(scratch, alg, rules, config, &mut sub, jobs);
             }
             "coverage" => {
                 coverage::check_coverage(scratch, rules, config, &mut sub);

@@ -65,7 +65,7 @@ fn hd_bool_is_terminating_and_locally_confluent() {
     );
     let config = LintConfig::new();
     let mut report = LintReport::new("BOOL");
-    let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report);
+    let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report, 1);
     assert_eq!(outcome.unjoinable, 0, "{report}");
     assert_eq!(outcome.undecided, 0, "{report}");
     assert_eq!(outcome.joinable + outcome.pruned, outcome.pairs);

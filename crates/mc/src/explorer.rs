@@ -8,14 +8,15 @@
 //! ## Parallel exploration
 //!
 //! [`explore_with_config_jobs`] runs the search level-synchronously across `N`
-//! worker threads: the current frontier is partitioned into contiguous
-//! chunks, each worker expands its chunk's states into a local successor
-//! batch, and the batches are merged into the dedup index **at the level
-//! barrier, in frontier order** — exactly the order the sequential search
-//! visits them. Successor generation (`Model::successors`) is pure, so
-//! the merged result is *identical* to the sequential one for every
-//! thread count: same state count and numbering, same verdicts, same
-//! violation traces, same `states_per_depth`/`dedup_hits` accounting.
+//! workers of the workspace's shared pool
+//! ([`equitls_rewrite::par::par_map`]): workers claim frontier entries one
+//! at a time and expand each into its successor list, and the lists are
+//! merged into the dedup index **at the level barrier, in frontier
+//! order** — exactly the order the sequential search visits them.
+//! Successor generation (`Model::successors`) is pure, so the merged
+//! result is *identical* to the sequential one for every thread count:
+//! same state count and numbering, same verdicts, same violation traces,
+//! same `states_per_depth`/`dedup_hits` accounting.
 //! `jobs = 1` bypasses the thread machinery and is the sequential path.
 
 use crate::model::Model;
@@ -30,6 +31,7 @@ use equitls_rewrite::budget::{
     panic_message, trigger_injected_panic, Budget, FaultKind, FaultPlan, FaultSite, StopReason,
     WorkerFault,
 };
+use equitls_rewrite::par::{par_map, resolve_jobs};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,18 +123,6 @@ pub struct ExploreConfig {
     /// Visited-set shard count in encoded mode; `0` uses the default
     /// ([`crate::visited::DEFAULT_SHARDS`]).
     pub spill_shards: usize,
-}
-
-/// Resolve a `jobs` request: `0` means "use the machine's available
-/// parallelism", anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
 }
 
 /// A safety-property violation with its witness trace.
@@ -715,14 +705,14 @@ fn expand_level_seq<M: Model>(
     None
 }
 
-/// Expand one level on `jobs` scoped worker threads, then merge the
-/// batches at the barrier in frontier order. Returns `Some(reason)` on
-/// truncation — detected at the same `(parent, successor)` position the
-/// sequential expansion would stop at, so the accounting agrees. Worker
-/// panics are contained *inside* each worker ([`compute_succs`]), and the
-/// resulting faults are recorded at merge time in frontier order, so a
-/// poisoned entry never disturbs its siblings and the fault list is
-/// identical at every `jobs` value.
+/// Expand one level on `jobs` workers of the shared pool, then merge the
+/// successor lists at the barrier in frontier order. Returns
+/// `Some(reason)` on truncation — detected at the same
+/// `(parent, successor)` position the sequential expansion would stop at,
+/// so the accounting agrees. Worker panics are contained *inside* each
+/// expansion ([`compute_succs`]), and the resulting faults are recorded at
+/// merge time in frontier order, so a poisoned entry never disturbs its
+/// siblings and the fault list is identical at every `jobs` value.
 fn expand_level_par<M>(
     model: &M,
     search: &mut Search<'_, M::State>,
@@ -742,10 +732,10 @@ where
     // Fetch every frontier state up front on the merge thread — the one
     // place a spilled shard may need reloading, kept out of the workers
     // so reloads stay deterministic (frontier order) at every `jobs`.
-    let mut frontier_states: Vec<M::State> = Vec::with_capacity(frontier.len());
+    let mut frontier_states: Vec<(usize, M::State)> = Vec::with_capacity(frontier.len());
     for (pos, &idx) in frontier.iter().enumerate() {
         match search.state_at(model, idx, obs) {
-            Ok(state) => frontier_states.push(state),
+            Ok(state) => frontier_states.push((idx, state)),
             Err(e) => {
                 let stop = search.spill_failure(e);
                 search.unexpanded += frontier.len() - pos;
@@ -753,71 +743,44 @@ where
             }
         }
     }
-    // One successor result per frontier entry, grouped by worker chunk.
-    type Batch<S> = Vec<Result<Vec<SuccRec<S>>, WorkerFault>>;
-    let workers = jobs.min(frontier.len());
-    let chunk_len = frontier.len().div_ceil(workers);
     let gen_start = search.timed.then(Instant::now);
-    let batches: Vec<Batch<M::State>> = {
+    let expanded = {
         let plan = search.config.fault_plan.as_ref();
         // Workers share the store read-only: probes take each shard's
-        // stripe lock briefly, and the merge thread below is the only
-        // writer — after this scope joins.
+        // stripe lock briefly, and the merge loop below is the only
+        // writer — after the pool has joined.
         let store = search.probe_store();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = frontier
-                .chunks(chunk_len)
-                .zip(frontier_states.chunks(chunk_len))
-                .map(|(chunk, states)| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .zip(states)
-                            .map(|(&idx, state)| compute_succs(model, state, idx, plan, store))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("explorer worker panicked"))
-                .collect()
-        })
+        par_map(
+            "explorer",
+            jobs,
+            &frontier_states,
+            |_| (),
+            |(), (idx, state)| compute_succs(model, state, *idx, plan, store),
+        )
     };
-    // Phase accounting is wall-clock per phase: the scoped-thread block
-    // above is pure successor generation, the merge loop below is pure
-    // dedup/monitor work on the main thread.
+    // Phase accounting is wall-clock per phase: the pool above is pure
+    // successor generation, the merge loop below is pure dedup/monitor
+    // work on the main thread.
     let merge_start = search.timed.then(Instant::now);
     if let (Some(g), Some(m)) = (gen_start, merge_start) {
         search.succ_time += m.duration_since(g);
     }
     let mut stop = None;
-    let mut merged = 0usize;
-    'merge: for (chunk, batch) in frontier.chunks(chunk_len).zip(batches) {
-        for (&idx, succs) in chunk.iter().zip(batch) {
-            if let Some(reason) = search.pre_merge_stop(idx) {
-                stop = Some(reason);
-                break 'merge;
-            }
-            let succs = match succs {
-                Ok(succs) => succs,
-                Err(fault) => {
-                    search.faults.push(fault);
-                    Vec::new()
-                }
-            };
-            if let Some(reason) = search.merge_entry(model, idx, succs, depth, limits, obs) {
-                stop = Some(reason);
-                break 'merge;
-            }
-            merged += 1;
+    for (pos, (&idx, succs)) in frontier.iter().zip(expanded).enumerate() {
+        stop = search.pre_merge_stop(idx).or_else(|| {
+            let succs = succs.unwrap_or_else(|fault| {
+                search.faults.push(fault);
+                Vec::new()
+            });
+            search.merge_entry(model, idx, succs, depth, limits, obs)
+        });
+        if stop.is_some() {
+            // The same disclosure the sequential path makes: the entry
+            // the stop landed on and everything after it were never
+            // (fully) expanded.
+            search.unexpanded += frontier.len() - pos;
+            break;
         }
-    }
-    if stop.is_some() {
-        // The same disclosure the sequential path makes: the entry the
-        // stop landed on and everything after it were never (fully)
-        // expanded.
-        search.unexpanded += frontier.len() - merged;
     }
     if let Some(m) = merge_start {
         search.dedup_time += m.elapsed();
@@ -1867,13 +1830,6 @@ mod tests {
         assert!((slow - 50.0).abs() < 1e-9, "got {slow}");
         // No states, no rate.
         assert_eq!(mk(0, Duration::from_secs(1)).states_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn resolve_jobs_zero_means_available_parallelism() {
-        assert!(resolve_jobs(0) >= 1);
-        assert_eq!(resolve_jobs(1), 1);
-        assert_eq!(resolve_jobs(7), 7);
     }
 
     #[test]

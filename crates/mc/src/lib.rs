@@ -48,8 +48,8 @@ pub mod prelude {
         check_scope_config_obs_sym, check_scope_resume_obs_sym, expected_outcomes,
     };
     pub use crate::explorer::{
-        explore_resume_with_config_jobs, explore_with_config_jobs, resolve_jobs, Exploration,
-        ExploreConfig, Limits, Violation,
+        explore_resume_with_config_jobs, explore_with_config_jobs, Exploration, ExploreConfig,
+        Limits, Violation,
     };
     pub use crate::model::{Model, TlsMachine};
     pub use crate::scenario::{counterexample_2prime, counterexample_3prime, render_trace, Replay};

@@ -59,6 +59,7 @@ pub mod budget;
 pub mod engine;
 pub mod equality;
 pub mod error;
+pub mod par;
 pub mod rule;
 
 pub use error::RewriteError;

@@ -43,16 +43,12 @@ use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
 use equitls_persist::PersistError;
 use equitls_rewrite::budget::{panic_message, FaultPlan};
+use equitls_rewrite::par::WORKER_STACK_BYTES;
 
 use crate::job;
 use crate::journal::JobJournal;
 use crate::proto::{self, JobKind, JobRequest};
 use crate::warm::WarmState;
-
-/// Worker stack size: prover obligations recurse deeply (case-split
-/// trees), and with `jobs: 1` the obligation runs on the worker thread
-/// itself — same sizing as `tls-prove`'s main thread.
-const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// Scope caps applied at degradation level 2 (load ≥ 75%).
 const DEGRADED_MAX_STATES: usize = 20_000;
@@ -509,6 +505,8 @@ fn run_one(inner: &EngineInner) -> Option<(u64, bool)> {
 
 fn spawn_worker(inner: &Arc<EngineInner>, index: usize) -> std::thread::JoinHandle<()> {
     let inner = Arc::clone(inner);
+    // With `jobs: 1` an obligation runs on the worker thread itself, so
+    // it gets the prover's stack.
     std::thread::Builder::new()
         .name(format!("serve-worker-{index}"))
         .stack_size(WORKER_STACK_BYTES)

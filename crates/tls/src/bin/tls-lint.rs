@@ -19,8 +19,9 @@
 //!
 //! Flags:
 //!
-//! * `--jobs N` — worker threads for critical-pair joinability. The report
-//!   is identical at every level (each pair is judged independently).
+//! * `--jobs N` — worker threads for critical-pair joinability (default 1,
+//!   `0` = all cores). The report is identical at every level (each pair
+//!   is judged independently).
 //! * `--cache PATH` — incremental analysis: load a pass-result snapshot,
 //!   skip passes whose fingerprinted inputs are unchanged, save back.
 //!   Stats go to stderr so stdout is byte-identical cold vs. warm; a
@@ -50,19 +51,14 @@ use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::bool_rules::hd_bool_rules;
+use equitls_rewrite::par::on_big_stack;
 use equitls_spec::spec::Spec;
 use equitls_tls::mutants::LintFixture;
 use equitls_tls::TlsModel;
 use std::path::PathBuf;
 
 fn main() {
-    // Critical-pair joinability normalizes deep open terms; use the same
-    // big-stack thread as the prover.
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn lint thread");
-    child.join().expect("lint thread panicked");
+    on_big_stack(run);
 }
 
 /// The constructor-equality decision procedure as a rewrite system: the
@@ -294,9 +290,10 @@ fn parse_cli() -> Cli {
                 cli.jobs = args
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a positive integer\n{USAGE}");
+                        eprintln!(
+                            "--jobs needs a thread count (e.g. --jobs 4; 0 = all cores)\n{USAGE}"
+                        );
                         std::process::exit(2);
                     });
             }

@@ -47,18 +47,14 @@ use equitls_obs::summary::{Align, MetricsSummary, Table};
 use equitls_obs::trace::Trace;
 use equitls_persist::{peek_meta, signal, SnapshotMeta};
 use equitls_rewrite::budget::Budget;
+use equitls_rewrite::par::on_big_stack;
 use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{verify, TlsModel};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    // Deep proof searches recurse heavily; run on a large stack.
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn prover thread");
-    child.join().expect("prover thread panicked");
+    on_big_stack(run);
 }
 
 struct Options {

@@ -39,6 +39,7 @@
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
 use equitls::obs::trace::Trace;
+use equitls::rewrite::par::resolve_jobs;
 use equitls::tls::concrete::Scope;
 use std::sync::Arc;
 use std::time::Duration;

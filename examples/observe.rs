@@ -20,17 +20,14 @@
 use equitls::obs::sink::{JsonlSink, Obs, RecordingSink};
 use equitls::obs::summary::{Align, MetricsSummary, Table};
 use equitls::obs::trace::Trace;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 use std::sync::Arc;
 
 fn main() {
     // Deep proof searches recurse heavily; run on a large stack.
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn prover thread");
-    child.join().expect("prover thread panicked");
+    on_big_stack(run);
 }
 
 fn run() {

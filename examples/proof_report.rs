@@ -13,15 +13,12 @@
 
 use equitls::core::prelude::render_report_table;
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 
 fn main() {
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn");
-    child.join().expect("prover thread");
+    on_big_stack(run);
 }
 
 fn run() {

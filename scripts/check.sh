@@ -4,6 +4,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== one worker pool: no pool, stack size or job resolver outside par.rs =="
+# `equitls_rewrite::par` owns the job count, the worker stack size and the
+# only thread pool (`par_map`); a copy elsewhere must not come back.
+# Long-lived threads (the daemon's supervised workers) may spawn on
+# their own, but only on the shared `WORKER_STACK_BYTES`.
+POOL_SITES="$(grep -rnE 'thread::scope|spawn_scoped|available_parallelism|512 \* 1024 \* 1024|stack_size\(' \
+    crates src tests examples --include='*.rs' \
+    | grep -v '^crates/rewrite/src/par.rs:' \
+    | grep -v 'stack_size(WORKER_STACK_BYTES)' || true)"
+if [ -n "$POOL_SITES" ]; then
+    echo "thread pools and stack sizes belong in crates/rewrite/src/par.rs:" >&2
+    echo "$POOL_SITES" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 

@@ -16,6 +16,7 @@
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
 use equitls::obs::summary::MetricsSummary;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::concrete::{Scope, State};
 use equitls::tls::verify::{self, VerifyOptions};
 use equitls::tls::TlsModel;
@@ -23,15 +24,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 const JOBS: [usize; 3] = [1, 2, 4];
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 /// A fresh snapshot path under the system temp dir (removed by the test).
 fn tmp_snapshot(name: &str) -> PathBuf {

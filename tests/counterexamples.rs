@@ -12,6 +12,7 @@
 use equitls::core::prelude::{Invariant, InvariantSet, Prover};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::spec::parser::{elaborate_term, parse_term_ast, ElabScope};
 use equitls::tls::concrete::Scope;
 use equitls::tls::{verify, TlsModel};
@@ -79,65 +80,60 @@ fn anonymity_corollary_the_server_cannot_identify_the_client() {
 /// The symbolic prover cannot prove 2′ — and reports honest open cases.
 #[test]
 fn the_symbolic_prover_leaves_2prime_open() {
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(|| {
-            let mut model = TlsModel::standard().unwrap();
-            // State 2' as an invariant: a conformant cf seemingly from a
-            // trustable client really originates from the client.
-            let body_src = r"not (A = intruder)
-                and cf(B1, A, B, ecfin(key(A, PM, R1, R2),
-                                       cfin(A, B, I, L, C, R1, R2, PM))) \in nw(P)
-                implies
-                cf(A, A, B, ecfin(key(A, PM, R1, R2),
-                                  cfin(A, B, I, L, C, R1, R2, PM))) \in nw(P)";
-            let ast = parse_term_ast(body_src).unwrap();
-            let mut scope = ElabScope::new();
-            let store = model.spec.store();
-            let mut vars = std::collections::HashMap::new();
-            for name in ["P", "A", "B", "B1", "R1", "R2", "L", "C", "I", "PM"] {
-                let var = store.var_by_name(name).expect("property var exists");
-                vars.insert(name, var);
-            }
-            for (name, &var) in &vars {
-                let occurrence = model.spec.store_mut().var(var);
-                scope.bind(name, occurrence);
-            }
-            let body = elaborate_term(&mut model.spec, &scope, &ast).unwrap();
-            let inv = Invariant::new(
-                &model.spec,
-                "prop2prime",
-                vars["P"],
-                vec![
-                    vars["A"], vars["B"], vars["B1"], vars["R1"], vars["R2"], vars["L"], vars["C"],
-                    vars["I"], vars["PM"],
-                ],
-                body,
-            )
+    on_big_stack(|| {
+        let mut model = TlsModel::standard().unwrap();
+        // State 2' as an invariant: a conformant cf seemingly from a
+        // trustable client really originates from the client.
+        let body_src = r"not (A = intruder)
+            and cf(B1, A, B, ecfin(key(A, PM, R1, R2),
+                                   cfin(A, B, I, L, C, R1, R2, PM))) \in nw(P)
+            implies
+            cf(A, A, B, ecfin(key(A, PM, R1, R2),
+                              cfin(A, B, I, L, C, R1, R2, PM))) \in nw(P)";
+        let ast = parse_term_ast(body_src).unwrap();
+        let mut scope = ElabScope::new();
+        let store = model.spec.store();
+        let mut vars = std::collections::HashMap::new();
+        for name in ["P", "A", "B", "B1", "R1", "R2", "L", "C", "I", "PM"] {
+            let var = store.var_by_name(name).expect("property var exists");
+            vars.insert(name, var);
+        }
+        for (name, &var) in &vars {
+            let occurrence = model.spec.store_mut().var(var);
+            scope.bind(name, occurrence);
+        }
+        let body = elaborate_term(&mut model.spec, &scope, &ast).unwrap();
+        let inv = Invariant::new(
+            &model.spec,
+            "prop2prime",
+            vars["P"],
+            vec![
+                vars["A"], vars["B"], vars["B1"], vars["R1"], vars["R2"], vars["L"], vars["C"],
+                vars["I"], vars["PM"],
+            ],
+            body,
+        )
+        .unwrap();
+        let mut invariants = InvariantSet::new();
+        for (name, _, _) in equitls::tls::symbolic::properties::PROPERTIES {
+            invariants.push(model.invariants.get(name).unwrap().clone());
+        }
+        invariants.push(inv);
+        let config = verify::prover_config(&model);
+        let mut prover = Prover::new(&mut model.spec, &model.ots, &invariants).with_config(config);
+        let report = prover
+            .prove_inductive("prop2prime", &equitls::core::prelude::Hints::new())
             .unwrap();
-            let mut invariants = InvariantSet::new();
-            for (name, _, _) in equitls::tls::symbolic::properties::PROPERTIES {
-                invariants.push(model.invariants.get(name).unwrap().clone());
-            }
-            invariants.push(inv);
-            let config = verify::prover_config(&model);
-            let mut prover =
-                Prover::new(&mut model.spec, &model.ots, &invariants).with_config(config);
-            let report = prover
-                .prove_inductive("prop2prime", &equitls::core::prelude::Hints::new())
-                .unwrap();
-            assert!(
-                !report.is_proved(),
-                "property 2' must NOT prove — the paper refutes it"
-            );
-            // The failing obligation is an intruder transition that
-            // constructs the client Finished.
-            let open = report.open_cases();
-            assert!(
-                open.iter().any(|(action, _)| action.starts_with("fake")),
-                "the open case should come from an intruder fake: {open:?}"
-            );
-        })
-        .expect("spawn");
-    child.join().expect("join");
+        assert!(
+            !report.is_proved(),
+            "property 2' must NOT prove — the paper refutes it"
+        );
+        // The failing obligation is an intruder transition that
+        // constructs the client Finished.
+        let open = report.open_cases();
+        assert!(
+            open.iter().any(|(action, _)| action.starts_with("fake")),
+            "the open case should come from an intruder fake: {open:?}"
+        );
+    });
 }

@@ -12,17 +12,9 @@
 //!   client.)
 
 use equitls::core::prelude::*;
+use equitls::rewrite::par::on_big_stack;
 use equitls::spec::parser::{elaborate_term, parse_term_ast, ElabScope};
 use equitls::tls::{verify, TlsModel};
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 fn build_invariant(model: &mut TlsModel, name: &str, params: &[&str], body_src: &str) -> Invariant {
     let ast = parse_term_ast(body_src).unwrap();

@@ -7,17 +7,9 @@
 //! soundness smoke test.
 
 use equitls::core::prelude::{Hints, Prover};
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::mutants::Mutant;
 use equitls::tls::{verify, TlsModel};
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 fn hints_for(name: &str) -> Hints {
     let mut hints = Hints::new();

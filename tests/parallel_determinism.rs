@@ -15,21 +15,13 @@
 use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::concrete::Scope;
 use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 use std::sync::Arc;
 
 const JOBS: [usize; 3] = [1, 2, 4];
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 #[test]
 fn tls_scope_exploration_is_identical_at_every_thread_count() {

@@ -8,17 +8,9 @@
 //! prover.
 
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel, Variant};
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 #[test]
 fn the_five_main_properties_prove_on_the_standard_protocol() {

@@ -15,21 +15,13 @@
 
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::concrete::Scope;
 use equitls::tls::verify::{self, VerifyOptions};
 use equitls::tls::TlsModel;
 use std::time::Duration;
 
 const JOBS: [usize; 3] = [1, 2, 4];
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 /// The §5 counterexample scope bounded to two messages: big enough to
 /// exercise wide frontiers, small enough to finish in well under a second.

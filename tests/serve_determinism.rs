@@ -21,19 +21,11 @@
 use std::path::PathBuf;
 
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::serve::engine::{Admission, ServeConfig, ServeEngine};
 use equitls::serve::proto::{JobKind, JobRequest};
 
 const JOBS: [usize; 3] = [1, 2, 4];
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("equitls_serve_{}_{name}.snap", std::process::id()))

@@ -18,19 +18,11 @@
 
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
+use equitls::rewrite::par::on_big_stack;
 use equitls::tls::concrete::{Scope, State};
 use std::path::{Path, PathBuf};
 
 const JOBS: [usize; 3] = [1, 2, 4];
-
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("join")
-}
 
 /// A fresh spill directory under the system temp dir.
 fn tmp_spill_dir(name: &str) -> PathBuf {
